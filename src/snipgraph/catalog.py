@@ -19,6 +19,7 @@ class CatalogLoadError(ValueError):
 
 
 _WS_RUN = re.compile(r"\s+")
+_ALNUM_RUN = re.compile(r"[^\W_]+")
 
 
 def normalize_name(raw: str) -> str:
@@ -32,22 +33,89 @@ def collapse_ws(text: str) -> str:
     return _WS_RUN.sub(" ", text)
 
 
+def alnum_runs(text: str) -> set[str]:
+    """Distinct maximal letter-and-digit runs of `text`, lowercased.
+
+    When both the text and a phrase are ASCII, a token-bounded
+    case-insensitive match of the phrase implies that every run of the phrase
+    is also a run of the text, so these sets can rule texts out before any
+    regex runs. Non-ASCII text gives no such guarantee: re.IGNORECASE folds
+    "İ", "ı", "ſ" and the Kelvin sign onto ASCII letters one character at a
+    time.
+    """
+    return set(_ALNUM_RUN.findall(text.lower()))
+
+
 @lru_cache(maxsize=4096)
 def phrase_regex(phrase: str, ignore_case: bool = True) -> re.Pattern[str]:
     """Compile a token-bounded matcher for a phrase.
 
     Internal spaces match any whitespace run. Boundary guards ([^\\W_] = letters
     and digits) are applied only where the phrase edge is itself alphanumeric,
-    so punctuation phrases like "&" may sit flush against a word.
+    so punctuation phrases like "&" may sit flush against a word. The edges
+    are those of the stripped phrase: " and " is guarded like "and".
     """
     parts = phrase.split()
     body = r"\s+".join(re.escape(p) for p in parts) if parts else re.escape(phrase)
-    if phrase and phrase[0].isalnum():
+    edges = phrase.strip()
+    if edges and edges[0].isalnum():
         body = r"(?<![^\W_])" + body
-    if phrase and phrase[-1].isalnum():
+    if edges and edges[-1].isalnum():
         body = body + r"(?![^\W_])"
     flags = re.IGNORECASE if ignore_case else 0
     return re.compile(body, flags)
+
+
+def _name_rank(key: str) -> tuple[int, int, str]:
+    # alternation order: more tokens first, then more characters, then key
+    return (-len(key.split()), -len(key), key)
+
+
+def _name_pattern(key: str) -> str:
+    body = r"\s+".join(re.escape(tok) for tok in key.split())
+    return r"(?<![^\W_])" + body + r"(?![^\W_])"
+
+
+class _NamePlan:
+    """Which names can match an ASCII text, and each name's own matcher.
+
+    Every ASCII name with at least one alnum run is filed under its run
+    shared by the fewest names; a text can only contain the name when it
+    contains that run and all the others. Other names are always tried.
+    """
+
+    def __init__(self, keys: Iterable[str]) -> None:
+        self.rank = {key: _name_rank(key) for key in keys}
+        self.runs: dict[str, set[str]] = {}
+        self.always: list[str] = []
+        names_per_run: dict[str, int] = {}
+        for key in self.rank:
+            runs = alnum_runs(key) if key.isascii() else set()
+            if not runs:
+                self.always.append(key)
+                continue
+            self.runs[key] = runs
+            for run in runs:
+                names_per_run[run] = names_per_run.get(run, 0) + 1
+        self.filed: dict[str, list[str]] = {}
+        for key, runs in self.runs.items():
+            anchor = min(runs, key=lambda run: (names_per_run[run], run))
+            self.filed.setdefault(anchor, []).append(key)
+        self._patterns: dict[str, re.Pattern[str]] = {}
+
+    def candidates(self, text_runs: set[str]) -> list[str]:
+        keys = list(self.always)
+        for run in text_runs:
+            for key in self.filed.get(run, ()):
+                if self.runs[key] <= text_runs:
+                    keys.append(key)
+        return keys
+
+    def pattern(self, key: str) -> re.Pattern[str]:
+        rx = self._patterns.get(key)
+        if rx is None:
+            rx = self._patterns[key] = re.compile(_name_pattern(key), re.IGNORECASE)
+        return rx
 
 
 @dataclass(frozen=True)
@@ -70,6 +138,7 @@ class EntityCatalog:
     loaded: int = 0
     skipped: int = 0
     _matcher: re.Pattern[str] | None = field(default=None, repr=False, compare=False)
+    _plan: _NamePlan | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.normalized_index)
@@ -90,21 +159,22 @@ class EntityCatalog:
         self.names.add(canonical)
         self.normalized_index[key] = canonical
         self._matcher = None
+        self._plan = None
         return True
 
     def matcher(self) -> re.Pattern[str] | None:
         """Compiled alternation over all names, longest (tokens, chars) first."""
         if self._matcher is None and self.normalized_index:
-            keys = sorted(
-                self.normalized_index,
-                key=lambda k: (-len(k.split()), -len(k), k),
-            )
-            alts = []
-            for key in keys:
-                body = r"\s+".join(re.escape(tok) for tok in key.split())
-                alts.append(r"(?<![^\W_])" + body + r"(?![^\W_])")
+            keys = sorted(self.normalized_index, key=_name_rank)
+            alts = [_name_pattern(key) for key in keys]
             self._matcher = re.compile("|".join(alts), re.IGNORECASE)
         return self._matcher
+
+    def _name_plan(self) -> _NamePlan:
+        """Prefilter and per-name matchers for ASCII text, built on first use."""
+        if self._plan is None:
+            self._plan = _NamePlan(self.normalized_index)
+        return self._plan
 
 
 def load_catalog(source: IO[str] | Iterable[str]) -> EntityCatalog:
@@ -148,16 +218,51 @@ def find_entity_matches(text: str, catalog: EntityCatalog) -> list[tuple[str, in
 
     Longest match wins at each position, scanning left to right. Used
     internally by the snippet extractors, which need character offsets.
+
+    `catalog.matcher()`, one alternation over every name, defines the result.
+    ASCII text takes a faster route with the same result: only the names
+    whose alnum runs all occur in the text (plus names that are not ASCII or
+    have no run) are searched, each with its own pattern at every start, and
+    the alternation's choice is replayed: leftmost start first, then more
+    tokens, more characters, smaller key. The plan behind it is built on the
+    first ASCII text. Text that is not ASCII stays on the alternation,
+    because re.IGNORECASE folds "İ", "ı", "ſ" and the Kelvin sign onto ASCII
+    letters one character at a time, which no lower() or casefold() run set
+    reproduces.
     """
-    matcher = catalog.matcher()
-    if matcher is None:
+    if not catalog.normalized_index:
         return []
+    if text.isascii():
+        spans = _replay_alternation(text, catalog._name_plan())
+    else:
+        spans = [m.span() for m in catalog.matcher().finditer(text)]
     out = []
-    for m in matcher.finditer(text):
-        canonical = catalog.normalized_index.get(normalize_name(m.group()))
+    for start, end in spans:
+        canonical = catalog.normalized_index.get(normalize_name(text[start:end]))
         if canonical is not None:
-            out.append((canonical, m.start(), m.end()))
+            out.append((canonical, start, end))
     return out
+
+
+def _replay_alternation(text: str, plan: _NamePlan) -> list[tuple[int, int]]:
+    # best (rank, end) of every start where some candidate name matches
+    best: dict[int, tuple[tuple[int, int, str], int]] = {}
+    for key in plan.candidates(alnum_runs(text)):
+        rank, rx = plan.rank[key], plan.pattern(key)
+        m = rx.search(text)
+        while m is not None:
+            start = m.start()
+            held = best.get(start)
+            if held is None or rank < held[0]:
+                best[start] = (rank, m.end())
+            m = rx.search(text, start + 1)
+    spans = []
+    pos = 0
+    for start in sorted(best):
+        if start >= pos:
+            pos = best[start][1]
+            spans.append((start, pos))
+    return spans
 
 
 def find_entities(text: str, catalog: EntityCatalog) -> list[tuple[Entity, tuple[int, int]]]:

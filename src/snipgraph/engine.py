@@ -212,7 +212,6 @@ class _Run:
         self.iterations: list[IterationRecord] = []
         self.step_count = 0
         self.queried: set[tuple[str, str]] = set()
-        self.enqueued: set[str] = set()
         self.dead: set[str] = set()
         self.discovered: list[str] = []
         self.seeds: list[str] = []
@@ -230,10 +229,6 @@ class _Run:
     def new_frontier(self) -> Frontier:
         mode = PRIORITY if self.config.mode == MODE_PRIO else FIFO
         return Frontier(mode, self.config.alpha)
-
-    def push(self, frontier: Frontier, name: str) -> None:
-        self.enqueued.add(name)
-        frontier.push(name, self.step_count)
 
     def pending_patterns(self, entity: str) -> list[Pattern]:
         return [
@@ -300,7 +295,7 @@ class _Run:
                 return None
             record = self.expand_entity(entry.name)
             for name in record.new_nodes:
-                self.push(frontier, name)
+                frontier.push(name, self.step_count)
             if self.ledger.exhausted:
                 return BUDGET
 
@@ -336,7 +331,7 @@ def expand_static(
     run = _Run(config, gateway, catalog)
     frontier = run.new_frontier()
     for seed in run.seeds:
-        run.push(frontier, seed)
+        frontier.push(seed, run.step_count)
     try:
         stop = run.run_frontier(frontier)
     except TransportError:
@@ -408,7 +403,7 @@ def expand_with_pattern_mining(
         frontier = run.new_frontier()
         for name in run.discovered:
             if run.has_pending(name):
-                run.push(frontier, name)
+                frontier.push(name, run.step_count)
         first_step = len(run.steps)
         try:
             stop = run.run_frontier(frontier)

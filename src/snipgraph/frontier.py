@@ -12,6 +12,7 @@ Degrees change as the graph grows, so scores are recomputed at pop time.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -61,7 +62,7 @@ class Frontier:
 
     mode: str = FIFO
     alpha: float = 0.0
-    _entries: list[FrontierEntry] = field(default_factory=list)
+    _entries: deque[FrontierEntry] = field(default_factory=deque)
     _next_seq: int = 0
 
     def __post_init__(self) -> None:
@@ -87,7 +88,7 @@ class Frontier:
         if not self._entries:
             return None
         if self.mode == FIFO:
-            return self._entries.pop(0)
+            return self._entries.popleft()
         best = min(
             self._entries,
             key=lambda e: (

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Protocol
 from urllib.parse import urlparse
 
-from .catalog import normalize_name, phrase_regex
+from .catalog import alnum_runs, normalize_name, phrase_regex
 
 PAGE_SIZE = 50
 
@@ -343,11 +343,44 @@ class ReplayBackend:
 
     Results keep corpus insertion order, which stands in for search-engine
     ranking and makes replay runs fully deterministic.
+
+    Only candidate records are tested against the phrases. When every quoted
+    phrase is ASCII and has an alnum run, the candidates are the ASCII
+    records holding the phrases' rarest run, found in an inverted index from
+    run to record, plus every non-ASCII record; otherwise they are the whole
+    corpus. The index is built on the first query that uses it. Non-ASCII
+    records are never ruled out, because re.IGNORECASE lets an ASCII phrase
+    match "İ", "ı", "ſ" or the Kelvin sign in them, which their lowercased
+    runs do not show. The cost of a query thus grows with the records that
+    can match, not with the corpus.
     """
 
     def __init__(self, records: Iterable[CorpusRecord]) -> None:
         self.records = list(records)
         self._memo: dict[str, list[CorpusRecord]] = {}
+        self._postings: dict[str, list[int]] | None = None
+        self._non_ascii: list[int] = []
+
+    def _index(self) -> dict[str, list[int]]:
+        if self._postings is None:
+            self._postings = {}
+            for i, rec in enumerate(self.records):
+                if not rec.text.isascii():
+                    self._non_ascii.append(i)
+                    continue
+                for run in alnum_runs(rec.text):
+                    self._postings.setdefault(run, []).append(i)
+        return self._postings
+
+    def _candidates(self, phrases: list[str]) -> list[CorpusRecord]:
+        if not all(term.isascii() for term in phrases):
+            return self.records
+        runs = set().union(*map(alnum_runs, phrases))
+        if not runs:
+            return self.records
+        postings = self._index()
+        rarest = min((postings.get(run, []) for run in runs), key=len)
+        return [self.records[i] for i in sorted(rarest + self._non_ascii)]
 
     def _matches(self, raw_query: str) -> list[CorpusRecord]:
         hit = self._memo.get(raw_query)
@@ -357,7 +390,7 @@ class ReplayBackend:
         needles = [phrase_regex(term) for term in phrases]
         found = [
             rec
-            for rec in self.records
+            for rec in self._candidates(phrases)
             if all(rx.search(rec.text) for rx in needles)
         ]
         self._memo[raw_query] = found

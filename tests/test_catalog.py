@@ -74,6 +74,11 @@ class TestPhraseRegex:
         assert not rx.search("sandy")
         assert not rx.search("anders")
 
+    def test_padded_phrase_keeps_guards(self):
+        rx = phrase_regex(" and ")
+        assert rx.search("x and y")
+        assert not rx.search("sandy")
+
     def test_punctuation_flush(self):
         assert phrase_regex("&").search("A&B")
 

@@ -1,0 +1,126 @@
+"""Fast paths proved equal to their reference implementations.
+
+ReplayBackend's inverted index is checked against a plain linear scan with
+`phrase_regex`, and find_entity_matches' ASCII route against the catalog's
+one-alternation matcher. The generated texts, names and queries are built
+from pieces chosen to reach the hard cases: inner punctuation, `_` and
+digits next to a name, the characters re.IGNORECASE folds onto ASCII
+letters, overlapping and self-overlapping names, and mixed whitespace runs.
+"""
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from snipgraph.catalog import find_entity_matches, normalize_name, phrase_regex
+from snipgraph.search import CorpusRecord, ReplayBackend, parse_query_terms
+
+from conftest import make_catalog
+
+NAME_PIECES = (
+    "Bo", "bo", "Ada", "Veil", "Quist", "Jean-Luc", "O'Brien", "o", "Brien",
+    "Strauß", "strauss", "\u0130ris", "\u0131ris", "iris", "\u017fam", "Sam",
+    "Kai", "\u212aai", "x_y", "7", "Bo2", "&",
+)
+FILLER = ("and", "with", "sandy", "_", "9", "-", ",", "'", "café", "x")
+SEPARATORS = (" ", "  ", "\t", "\n", " \n\t", "", "-", "_", "'", ", ")
+
+pieces = st.sampled_from(NAME_PIECES)
+words = st.sampled_from(NAME_PIECES + FILLER)
+separators = st.sampled_from(SEPARATORS)
+spaces = st.sampled_from((" ", "  ", "\t", "\n"))
+
+
+@st.composite
+def joined(draw, parts, seps, min_size=1, max_size=4):
+    items = draw(st.lists(parts, min_size=min_size, max_size=max_size))
+    out = items[0]
+    for item in items[1:]:
+        out += draw(seps) + item
+    return out
+
+
+names = joined(pieces, spaces, max_size=3)
+texts = joined(words, separators, max_size=12)
+
+SETTINGS = settings(
+    max_examples=250,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def alternation_matches(text, catalog):
+    """The reference spotter: one alternation over every name."""
+    matcher = catalog.matcher()
+    if matcher is None:
+        return []
+    out = []
+    for m in matcher.finditer(text):
+        canonical = catalog.normalized_index.get(normalize_name(m.group()))
+        if canonical is not None:
+            out.append((canonical, m.start(), m.end()))
+    return out
+
+
+def linear_fetch(records, raw_query, offset, count):
+    """The reference replay: every record against every quoted phrase."""
+    phrases, _ = parse_query_terms(raw_query)
+    needles = [phrase_regex(term) for term in phrases]
+    found = [rec for rec in records if all(rx.search(rec.text) for rx in needles)]
+    return found[offset : offset + count]
+
+
+class TestEntitySpotting:
+    @SETTINGS
+    @given(
+        first=st.lists(names, min_size=1, max_size=6),
+        later=st.lists(names, max_size=4),
+        batch=st.lists(texts, min_size=1, max_size=4),
+    )
+    @example(first=["Bo Quist"], later=["Bo Quist Senior"], batch=["met Bo Quist Senior"])
+    @example(first=["Bo Bo"], later=["Bo Bo Bo"], batch=["Bo Bo Bo Bo"])
+    @example(first=["Strauß"], later=["\u0131ris"], batch=["STRAUSS iris", "Strauß IRIS"])
+    @example(first=["Jean-Luc O'Brien"], later=["O"], batch=["_Jean-Luc\tO'Brien 7"])
+    @example(first=["Ada Bo", "Bo Bo"], later=[], batch=["Ada Bo Bo Bo"])
+    @example(first=["\u0131ris Bo", "Bo Quist"], later=[], batch=["iris Bo Quist"])
+    def test_equals_alternation_as_the_catalog_grows(self, first, later, batch):
+        catalog = make_catalog(first)
+        for text in batch:
+            assert find_entity_matches(text, catalog) == alternation_matches(text, catalog)
+        for name in later:
+            catalog.add(name)
+        for text in batch:
+            assert find_entity_matches(text, catalog) == alternation_matches(text, catalog)
+
+
+def quoted_terms():
+    padded = st.tuples(st.sampled_from(("", " ", "  ")), names, st.sampled_from(("", " ")))
+    return st.one_of(names, padded.map("".join), st.sampled_from(FILLER + (" and ",)))
+
+
+@st.composite
+def queries(draw):
+    terms = draw(st.lists(quoted_terms(), max_size=3))
+    bare = draw(st.lists(st.sampled_from(("and", "with", "x")), max_size=2))
+    return " ".join([f'"{term}"' for term in terms] + bare)
+
+
+class TestReplayIndex:
+    @SETTINGS
+    @given(
+        corpus=st.lists(texts, max_size=12),
+        batch=st.lists(st.tuples(queries(), st.integers(0, 3), st.integers(1, 5)),
+                       min_size=1, max_size=5),
+    )
+    @example(corpus=["sandy", "salt and pepper"], batch=[('" and "', 0, 5)])
+    @example(corpus=["iris", "IRIS x"], batch=[('"\u0131ris"', 0, 5), ('"\u0130ris"', 0, 5)])
+    @example(
+        corpus=["\u212aai", "\u0130ris", "strauß", "\u017fam kai iris"],
+        batch=[('"kai" "iris"', 0, 5), ('"sam"', 0, 5), ('"ss"', 0, 5)],
+    )
+    def test_fetch_equals_linear_scan(self, corpus, batch):
+        records = [CorpusRecord(f"u{i}", "d", text) for i, text in enumerate(corpus)]
+        backend = ReplayBackend(records)
+        for raw, offset, count in batch:
+            expected = linear_fetch(records, raw, offset, count)
+            assert backend.fetch(raw, offset, count) == expected

@@ -183,6 +183,13 @@ class TestReplayBackend:
         backend = ReplayBackend([CorpusRecord("u", "d", "meet Adab Veil")])
         assert backend.fetch('"Ada" x', 0, 50) == []
 
+    def test_padded_phrase_is_token_bounded(self):
+        records = [
+            CorpusRecord("u1", "d", "sandy shore"),
+            CorpusRecord("u2", "d", "salt and pepper"),
+        ]
+        assert ReplayBackend(records).fetch('" and "', 0, 50) == records[1:]
+
     def test_insertion_order_and_paging(self):
         records = matching_records(7)
         backend = ReplayBackend(records)
