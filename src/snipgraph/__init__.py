@@ -5,191 +5,9 @@ who co-occurs with whom in the returned snippets, and expanding outward from
 seed entities under a request budget. Patterns that connect names can be
 bootstrapped from the graph itself. Runs replay a stored snippet corpus by
 default; live search is opt-in.
+
+The API lives in the submodules (snipgraph.engine, snipgraph.search,
+snipgraph.catalog, ...); the package root exports only __version__.
 """
 
-from __future__ import annotations
-
-from .analysis import (
-    DistributionSummary,
-    TermCategoryTable,
-    baseline_pairwise,
-    build_term_category_table,
-    mutual_information,
-    overlap_coefficient,
-    summarize,
-    summarize_values,
-    top_relations,
-    top_terms,
-    write_histogram_csv,
-    write_mi_csv,
-    write_relations_csv,
-)
-from .catalog import (
-    CatalogLoadError,
-    Entity,
-    EntityCatalog,
-    find_entities,
-    find_entity_matches,
-    load_catalog,
-    load_catalog_file,
-    normalize_name,
-)
-from .corpus import (
-    SyntheticCorpus,
-    make_names,
-    pa_edge_list,
-    synthesize,
-    synthesize_from_edges,
-)
-from .engine import (
-    MODE_BF,
-    MODE_PATTERN_ITER,
-    MODE_PRIO,
-    IterationRecord,
-    RunConfig,
-    RunReport,
-    StepRecord,
-    expand_static,
-    expand_with_pattern_mining,
-    step_trace_to_curve,
-    write_trace_csv,
-)
-from .extract import (
-    DEFAULT_MATCH_PATTERNS,
-    DEFAULT_QUERY_PATTERNS,
-    EdgeEvidence,
-    Pattern,
-    PatternCandidate,
-    candidate_score,
-    extract_edges,
-    extract_pattern_candidates,
-    load_patterns,
-    load_patterns_file,
-    pattern_key,
-    save_patterns,
-    save_patterns_file,
-)
-from .frontier import Frontier, FrontierEntry, compute_priority, priority_score
-from .graph import (
-    SocialGraph,
-    export_graph,
-    read_edge_list,
-    read_edge_list_file,
-    write_dot,
-    write_edge_list,
-    write_graphml,
-)
-from .search import (
-    BudgetExceededError,
-    BudgetLedger,
-    CorpusFormatError,
-    CorpusRecord,
-    LiveBackend,
-    Query,
-    QueryError,
-    ReplayBackend,
-    SearchGateway,
-    Snippet,
-    SnippetCache,
-    TransportError,
-    connectivity_query,
-    entity_query,
-    is_queryable_phrase,
-    load_corpus,
-    load_corpus_file,
-    pair_query,
-    registrable_domain,
-    replay_backend_from_corpus,
-    save_corpus,
-    save_corpus_file,
-)
-from .stemming import porter_stem
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BudgetExceededError",
-    "BudgetLedger",
-    "CatalogLoadError",
-    "CorpusFormatError",
-    "CorpusRecord",
-    "DEFAULT_MATCH_PATTERNS",
-    "DEFAULT_QUERY_PATTERNS",
-    "DistributionSummary",
-    "EdgeEvidence",
-    "Entity",
-    "EntityCatalog",
-    "Frontier",
-    "FrontierEntry",
-    "IterationRecord",
-    "LiveBackend",
-    "MODE_BF",
-    "MODE_PATTERN_ITER",
-    "MODE_PRIO",
-    "Pattern",
-    "PatternCandidate",
-    "Query",
-    "QueryError",
-    "ReplayBackend",
-    "RunConfig",
-    "RunReport",
-    "SearchGateway",
-    "Snippet",
-    "SnippetCache",
-    "SocialGraph",
-    "StepRecord",
-    "SyntheticCorpus",
-    "TermCategoryTable",
-    "TransportError",
-    "baseline_pairwise",
-    "build_term_category_table",
-    "candidate_score",
-    "compute_priority",
-    "connectivity_query",
-    "entity_query",
-    "expand_static",
-    "expand_with_pattern_mining",
-    "export_graph",
-    "extract_edges",
-    "extract_pattern_candidates",
-    "find_entities",
-    "find_entity_matches",
-    "is_queryable_phrase",
-    "load_catalog",
-    "load_catalog_file",
-    "load_corpus",
-    "load_corpus_file",
-    "load_patterns",
-    "load_patterns_file",
-    "make_names",
-    "mutual_information",
-    "normalize_name",
-    "overlap_coefficient",
-    "pa_edge_list",
-    "pair_query",
-    "pattern_key",
-    "porter_stem",
-    "priority_score",
-    "read_edge_list",
-    "read_edge_list_file",
-    "registrable_domain",
-    "replay_backend_from_corpus",
-    "save_corpus",
-    "save_corpus_file",
-    "save_patterns",
-    "save_patterns_file",
-    "step_trace_to_curve",
-    "summarize",
-    "summarize_values",
-    "synthesize",
-    "synthesize_from_edges",
-    "top_relations",
-    "top_terms",
-    "write_dot",
-    "write_edge_list",
-    "write_graphml",
-    "write_histogram_csv",
-    "write_mi_csv",
-    "write_relations_csv",
-    "write_trace_csv",
-]

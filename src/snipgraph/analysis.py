@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Sequence
 
 from .catalog import EntityCatalog, find_entity_matches
-from .engine import BUDGET, FRONTIER_EMPTY, TRANSPORT, RunReport, StepRecord
+from .engine import (
+    BUDGET,
+    FRONTIER_EMPTY,
+    TRANSPORT,
+    RunReport,
+    StepRecord,
+    canonical_seeds,
+)
 from .graph import SocialGraph
 from .search import (
     BudgetLedger,
@@ -274,18 +281,11 @@ def baseline_pairwise(
     ledger = BudgetLedger(max_requests)
     gateway.ledger = ledger
     graph = SocialGraph()
-    pool: deque[str] = deque()
-    pooled: set[str] = set()
-    canonical_seeds: list[str] = []
-    for raw in seeds:
-        canonical = catalog.canonical(raw)
-        if canonical is None:
-            raise ValueError(f"seed entity not in catalog: {raw!r}")
-        if canonical not in pooled:
-            pooled.add(canonical)
-            pool.append(canonical)
-            canonical_seeds.append(canonical)
-            graph.add_node(canonical)
+    resolved = canonical_seeds(seeds, catalog)
+    pool = deque(resolved)
+    pooled = set(resolved)
+    for seed in resolved:
+        graph.add_node(seed)
 
     singles: dict[str, list[Snippet] | None] = {}
     scored: set[tuple[str, str]] = set()
@@ -303,7 +303,7 @@ def baseline_pairwise(
         except QueryError:
             singles[name] = None
             return None
-        snippets, _ = gateway.search(query, k, enforce_budget=False)
+        snippets, _ = gateway.search(query, k)
         singles[name] = snippets
         return snippets
 
@@ -347,9 +347,7 @@ def baseline_pairwise(
                         budget_hit = True
                         break
                     scored.add(pair)
-                    pair_snips, _ = gateway.search(
-                        pair_query(pair[0], pair[1]), k, enforce_budget=False
-                    )
+                    pair_snips, _ = gateway.search(pair_query(pair[0], pair[1]), k)
                     score = overlap_coefficient(
                         len(pair_snips), len(snippets), len(other)
                     )
@@ -378,7 +376,7 @@ def baseline_pairwise(
         stopped, complete = TRANSPORT, False
 
     report = RunReport(
-        seeds=canonical_seeds,
+        seeds=resolved,
         steps=steps,
         nodes_found=graph.node_count,
         edges_found=graph.edge_count,

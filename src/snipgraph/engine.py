@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, Iterable, Iterator
 
 from .catalog import EntityCatalog
 from .extract import (
@@ -35,9 +35,9 @@ from .frontier import FIFO, PRIORITY, Frontier
 from .graph import SocialGraph
 from .search import (
     BudgetLedger,
+    Query,
     QueryError,
     SearchGateway,
-    Snippet,
     TransportError,
     connectivity_query,
     is_queryable_phrase,
@@ -184,6 +184,23 @@ def write_trace_csv(report: RunReport, fh: IO[str]) -> None:
         )
 
 
+def canonical_seeds(seeds: Iterable[str], catalog: EntityCatalog) -> list[str]:
+    """Catalog names of `seeds` in order, each kept at its first occurrence.
+
+    Raises ValueError for a seed the catalog does not know.
+    """
+    resolved: list[str] = []
+    seen: set[str] = set()
+    for raw in seeds:
+        canonical = catalog.canonical(raw)
+        if canonical is None:
+            raise ValueError(f"seed entity not in catalog: {raw!r}")
+        if canonical not in seen:
+            seen.add(canonical)
+            resolved.append(canonical)
+    return resolved
+
+
 class _Run:
     """Shared state for one engine run."""
 
@@ -213,18 +230,10 @@ class _Run:
         self.step_count = 0
         self.queried: set[tuple[str, str]] = set()
         self.dead: set[str] = set()
-        self.discovered: list[str] = []
-        self.seeds: list[str] = []
-        seen_seeds: set[str] = set()
-        for raw in config.seeds:
-            canonical = catalog.canonical(raw)
-            if canonical is None:
-                raise ValueError(f"seed entity not in catalog: {raw!r}")
-            if canonical not in seen_seeds:
-                seen_seeds.add(canonical)
-                self.seeds.append(canonical)
-                self.discovered.append(canonical)
-                self.graph.add_node(canonical)
+        self.seeds = canonical_seeds(config.seeds, catalog)
+        self.discovered = list(self.seeds)
+        for seed in self.seeds:
+            self.graph.add_node(seed)
 
     def new_frontier(self) -> Frontier:
         mode = PRIORITY if self.config.mode == MODE_PRIO else FIFO
@@ -243,29 +252,25 @@ class _Run:
     def expand_entity(self, entity: str) -> StepRecord:
         """Query every pending pattern for one entity and merge the evidence.
 
-        The per-pattern results are pooled with one step-local (url, text)
-        set, so a snippet returned by several of this entity's queries
-        counts once. A later revisit (new patterns admitted by mining)
-        pools afresh: its extraction pass runs under the grown match set,
-        which is what lets admitted patterns contribute edges.
+        The per-pattern results are pooled by the gateway, so a snippet
+        returned by several of this entity's queries counts once. A later
+        revisit (new patterns admitted by mining) pools afresh: its
+        extraction pass runs under the grown match set, which is what lets
+        admitted patterns contribute edges. An entity whose name cannot be
+        queried is marked dead.
         """
-        pooled: list[Snippet] = []
-        seen: set[tuple[str, str]] = set()
-        for pat in self.pending_patterns(entity):
-            self.queried.add((entity, pat.key))
-            try:
-                query = connectivity_query(entity, pat.phrase)
-            except QueryError:
-                self.dead.add(entity)
-                break
-            snippets, _ = self.gateway.search(
-                query, self.config.k, enforce_budget=False
-            )
-            for snippet in snippets:
-                key = (snippet.url, snippet.text)
-                if key not in seen:
-                    seen.add(key)
-                    pooled.append(snippet)
+
+        def queries() -> Iterator[Query]:
+            for pat in self.pending_patterns(entity):
+                self.queried.add((entity, pat.key))
+                try:
+                    query = connectivity_query(entity, pat.phrase)
+                except QueryError:
+                    self.dead.add(entity)
+                    return
+                yield query
+
+        pooled = self.gateway.search_pooled(queries(), self.config.k)
         evidence = extract_edges(pooled, self.catalog, self.match_patterns)
         new_nodes, new_edges = self.graph.merge_evidence(evidence, self.config.tau)
         self.discovered.extend(new_nodes)
@@ -339,33 +344,29 @@ def expand_static(
     return run.graph, run.report(stop or FRONTIER_EMPTY, complete=True)
 
 
-def _mine_patterns(run: _Run) -> tuple[int, list[PatternCandidate], list[Pattern], bool]:
+def _mine_patterns(run: _Run) -> tuple[int, list[PatternCandidate], list[Pattern]]:
     """Pair-query the heaviest edges and admit high-scoring phrases.
 
-    Returns (pair queries issued, candidates, admitted patterns, budget hit).
-    The budget is checked before each pair query; candidates are scored over
-    whatever was fetched before the cutoff.
+    Returns (pair queries issued, candidates, admitted patterns). The budget
+    is checked before each pair query; candidates are scored over whatever
+    was fetched before the cutoff.
     """
     config = run.config
-    pooled: list[Snippet] = []
-    seen: set[tuple[str, str]] = set()
     issued = 0
-    budget_hit = False
-    for a, b, _w in run.graph.top_edges(config.h):
-        if run.ledger.exhausted:
-            budget_hit = True
-            break
-        try:
-            query = pair_query(a, b)
-        except QueryError:
-            continue
-        issued += 1
-        snippets, _ = run.gateway.search(query, config.k, enforce_budget=False)
-        for snippet in snippets:
-            key = (snippet.url, snippet.text)
-            if key not in seen:
-                seen.add(key)
-                pooled.append(snippet)
+
+    def queries() -> Iterator[Query]:
+        nonlocal issued
+        for a, b, _w in run.graph.top_edges(config.h):
+            if run.ledger.exhausted:
+                return
+            try:
+                query = pair_query(a, b)
+            except QueryError:
+                continue
+            issued += 1
+            yield query
+
+    pooled = run.gateway.search_pooled(queries(), config.k)
     candidates = extract_pattern_candidates(pooled, run.catalog)
     known = {p.key for p in run.match_patterns}
     admitted: list[Pattern] = []
@@ -378,7 +379,7 @@ def _mine_patterns(run: _Run) -> tuple[int, list[PatternCandidate], list[Pattern
         run.match_patterns.append(pat)
         if is_queryable_phrase(pat.phrase):
             run.query_patterns.append(pat)
-    return issued, candidates, admitted, budget_hit
+    return issued, candidates, admitted
 
 
 def expand_with_pattern_mining(
@@ -414,7 +415,7 @@ def expand_with_pattern_mining(
             stopped = BUDGET
             break
         try:
-            issued, candidates, admitted, budget_hit = _mine_patterns(run)
+            issued, candidates, admitted = _mine_patterns(run)
         except TransportError:
             stopped, complete = TRANSPORT, False
             break
@@ -430,7 +431,7 @@ def expand_with_pattern_mining(
                 requests_used=run.ledger.used_requests,
             )
         )
-        if budget_hit or run.ledger.exhausted:
+        if run.ledger.exhausted:
             stopped = BUDGET
             break
         if not admitted:

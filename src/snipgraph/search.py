@@ -3,8 +3,8 @@ and the gateway that turns a query into a ranked, deduplicated snippet list.
 
 Two backends implement the same page-fetch protocol: ReplayBackend serves a
 fixed snippet corpus for offline, reproducible runs; LiveBackend talks to a
-web search API. The gateway adds paging, retries, caching, and budgeting on
-top of either.
+web search API. The gateway adds paging, retries, caching, and request
+accounting on top of either.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class TransportError(RuntimeError):
     """Backend failed to produce a result page."""
 
 
-class BudgetExceededError(RuntimeError):
-    """The request budget cannot cover the next search."""
+class FatalTransportError(TransportError):
+    """Backend refused the request in a way a retry cannot fix."""
 
 
 class CorpusFormatError(ValueError):
@@ -247,19 +247,8 @@ class BudgetLedger:
     log: list[QueryLogEntry] = field(default_factory=list)
 
     @property
-    def remaining(self) -> int | None:
-        if self.max_requests is None:
-            return None
-        return self.max_requests - self.used_requests
-
-    @property
     def exhausted(self) -> bool:
         return self.max_requests is not None and self.used_requests >= self.max_requests
-
-    def can_spend(self, requests: int) -> bool:
-        if self.max_requests is None:
-            return True
-        return self.used_requests + requests <= self.max_requests
 
     def charge(self, raw_query: str, requests: int) -> None:
         if requests < 0:
@@ -278,9 +267,11 @@ class SnippetCache:
     """Disk cache of query results.
 
     Each query maps (via the sha256 of its normalized text) to one file: a
-    header line holding the raw query, then one url/domain/text record per
-    snippet in rank order. Entries store whatever the gateway fetched, so
-    mixing different k values against one cache directory is not supported.
+    header line holding the escaped raw query, a tab and the fetch depth k,
+    then one url/domain/text record per snippet in rank order. get() serves
+    an entry only to a request for at most its depth; a shallower entry, a
+    file without that header, or a body that does not parse is a miss, so
+    the gateway fetches afresh and overwrites it.
     """
 
     def __init__(self, directory: str) -> None:
@@ -291,25 +282,39 @@ class SnippetCache:
         digest = hashlib.sha256(cache_key.encode("utf-8")).hexdigest()
         return os.path.join(self.directory, digest + ".tsv")
 
-    def get(self, query: Query) -> list[Snippet] | None:
+    def get(self, query: Query, k: int) -> list[Snippet] | None:
+        """The stored snippets for `query`, or None unless the entry is
+        intact and was fetched at depth k or deeper."""
         path = self._path(query.cache_key)
         if not os.path.exists(path):
             return None
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.read().split("\n")
-        if lines and lines[-1] == "":
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                lines = fh.read().split("\n")
+        except UnicodeDecodeError:
+            return None
+        if lines[-1] == "":
             lines.pop()
-        records = load_corpus(lines[1:])
+        if not lines:
+            return None
+        depth = lines[0].partition("\t")[2]
+        if not depth.isdecimal() or int(depth) < k:
+            return None
+        try:
+            records = load_corpus(lines[1:])
+        except CorpusFormatError:
+            return None
         return [
             Snippet(rec.url, rec.domain, rec.text, rank)
             for rank, rec in enumerate(records, start=1)
         ]
 
-    def put(self, query: Query, snippets: Iterable[Snippet]) -> None:
+    def put(self, query: Query, snippets: Iterable[Snippet], k: int) -> None:
+        """Store `snippets`, the answer to `query` fetched at depth k."""
         path = self._path(query.cache_key)
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(escape_field(query.raw) + "\n")
+            fh.write(f"{escape_field(query.raw)}\t{k}\n")
             save_corpus(
                 (CorpusRecord(s.url, s.domain, s.text) for s in snippets), fh
             )
@@ -468,8 +473,10 @@ class LiveBackend:
         params = {"q": raw_query, "count": min(count, PAGE_SIZE), "offset": offset}
         self._pace()
         status, body = self._transport(self.endpoint, params, self._headers)
-        if status != 200:
+        if status == 429 or 500 <= status <= 599:
             raise TransportError(f"search API returned status {status}")
+        if status != 200:
+            raise FatalTransportError(f"search API returned status {status}")
         items = (body.get("webPages") or {}).get("value") or []
         records = []
         for item in items:
@@ -483,16 +490,17 @@ class LiveBackend:
 # --- gateway --------------------------------------------------------------
 
 class SearchGateway:
-    """Pages, deduplicates, caches, retries, and budgets snippet searches.
+    """Pages, deduplicates, caches, retries, and charges snippet searches.
 
     search() fetches PAGE_SIZE results per request until k results are
     collected or a short page signals the end, and returns the snippets
     together with the number of requests it consumed. Duplicate (url, text)
     results are dropped. One budget request is charged per page actually
-    fetched; cache hits are free. With enforce_budget a search refuses to
-    start on an exhausted ledger; a search already in flight may overshoot
-    the cap. Callers that do their own budget checks pass
-    enforce_budget=False.
+    fetched; cache hits are free. The gateway never refuses a search:
+    callers check the ledger between searches, so a search may overshoot
+    the cap. search_pooled() pools several queries under the same (url,
+    text) rule. A failed page is retried with doubling backoff, except a
+    FatalTransportError, which is raised at once.
     """
 
     def __init__(
@@ -518,6 +526,8 @@ class SearchGateway:
         for attempt in range(1, self.retries + 1):
             try:
                 return self.backend.fetch(raw_query, offset, PAGE_SIZE)
+            except FatalTransportError:
+                raise
             except TransportError:
                 if attempt == self.retries:
                     raise
@@ -525,23 +535,17 @@ class SearchGateway:
                 delay *= 2
         raise AssertionError("unreachable")
 
-    def search(
-        self, query: Query, k: int, enforce_budget: bool = True
-    ) -> tuple[list[Snippet], int]:
+    def search(self, query: Query, k: int) -> tuple[list[Snippet], int]:
         """Up to k ranked snippets for `query` plus the requests consumed;
         see class docstring."""
         if k < 1:
             raise ValueError("k must be >= 1")
         validate_query_text(query.raw)
         if self.cache is not None:
-            cached = self.cache.get(query)
+            cached = self.cache.get(query, k)
             if cached is not None:
                 self.ledger.note_cached(query.raw)
                 return cached[:k], 0
-        if enforce_budget and self.ledger.exhausted:
-            raise BudgetExceededError(
-                f"request budget exhausted before searching {query.raw!r}"
-            )
         max_pages = requests_for(k)
         collected: list[Snippet] = []
         seen: set[tuple[str, str]] = set()
@@ -562,5 +566,23 @@ class SearchGateway:
         self.ledger.charge(query.raw, spent)
         result = collected[:k]
         if self.cache is not None:
-            self.cache.put(query, result)
+            self.cache.put(query, result, k)
         return result, spent
+
+    def search_pooled(self, queries: Iterable[Query], k: int) -> list[Snippet]:
+        """Search each query in turn and pool the results, keeping the first
+        copy, with its rank, of each (url, text).
+
+        `queries` is consumed lazily, one item per search, so a generator
+        can check the ledger or record state between searches.
+        """
+        pooled: list[Snippet] = []
+        seen: set[tuple[str, str]] = set()
+        for query in queries:
+            snippets, _ = self.search(query, k)
+            for snippet in snippets:
+                key = (snippet.url, snippet.text)
+                if key not in seen:
+                    seen.add(key)
+                    pooled.append(snippet)
+        return pooled

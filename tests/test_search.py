@@ -4,10 +4,10 @@ import pytest
 
 from snipgraph.search import (
     PAGE_SIZE,
-    BudgetExceededError,
     BudgetLedger,
     CorpusFormatError,
     CorpusRecord,
+    FatalTransportError,
     LiveBackend,
     Query,
     QueryError,
@@ -129,16 +129,11 @@ class TestBudgetLedger:
     def test_unlimited(self):
         ledger = BudgetLedger()
         ledger.charge("q", 100)
-        assert ledger.remaining is None
         assert not ledger.exhausted
-        assert ledger.can_spend(10**9)
 
     def test_capped_accounting(self):
         ledger = BudgetLedger(max_requests=5)
-        assert ledger.can_spend(5)
-        assert not ledger.can_spend(6)
         ledger.charge("q1", 3)
-        assert ledger.remaining == 2
         assert not ledger.exhausted
         ledger.charge("q2", 2)
         assert ledger.exhausted
@@ -148,7 +143,7 @@ class TestBudgetLedger:
         ledger = BudgetLedger(max_requests=1)
         ledger.charge("q", 4)
         assert ledger.used_requests == 4
-        assert ledger.remaining == -3
+        assert ledger.exhausted
 
     def test_negative_charge_rejected(self):
         with pytest.raises(ValueError):
@@ -274,13 +269,11 @@ class TestSearchGateway:
         with pytest.raises(QueryError):
             gateway.search(Query("a & b", "connectivity"), k=5)
 
-    def test_refuses_exhausted_ledger(self):
+    def test_searches_on_exhausted_ledger(self):
         ledger = BudgetLedger(max_requests=1)
         ledger.charge("warmup", 1)
         gateway = SearchGateway(ReplayBackend(matching_records(1)), ledger=ledger)
-        with pytest.raises(BudgetExceededError):
-            gateway.search(self.query(), k=5)
-        snippets, spent = gateway.search(self.query(), k=5, enforce_budget=False)
+        snippets, spent = gateway.search(self.query(), k=5)
         assert len(snippets) == 1 and spent == 1
 
     def test_in_flight_search_may_overshoot(self):
@@ -289,6 +282,47 @@ class TestSearchGateway:
         _snippets, spent = gateway.search(self.query(), k=200)
         assert spent == 2
         assert ledger.used_requests == 2
+
+
+class TestSearchPooled:
+    def test_shared_snippet_kept_once_with_first_rank(self):
+        builder = CorpusBuilder()
+        builder.add("Bo Quist meets Ada Veil")
+        builder.add("Ada Veil and Bo Quist")
+        gateway = builder.gateway()
+        pooled = gateway.search_pooled(
+            [entity_query("Bo Quist"), entity_query("Ada Veil")], k=10
+        )
+        assert [(s.text, s.rank) for s in pooled] == [
+            ("Bo Quist meets Ada Veil", 1),
+            ("Ada Veil and Bo Quist", 2),
+        ]
+
+    def test_queries_consumed_lazily(self):
+        gateway = SearchGateway(ReplayBackend(matching_records(3)))
+        seen_used = []
+
+        def queries():
+            for phrase in ("and", "meets", "with"):
+                seen_used.append(gateway.ledger.used_requests)
+                yield connectivity_query("Ada Veil", phrase)
+
+        gateway.search_pooled(queries(), k=10)
+        assert seen_used == [0, 1, 2]
+
+    def test_stopped_generator_issues_no_further_search(self):
+        gateway = SearchGateway(ReplayBackend(matching_records(3)))
+
+        def queries():
+            yield connectivity_query("Ada Veil", "and")
+            if gateway.ledger.used_requests >= 1:
+                return
+            yield connectivity_query("Ada Veil", "meets")
+
+        pooled = gateway.search_pooled(queries(), k=10)
+        assert len(pooled) == 3
+        assert gateway.ledger.queries_issued == 1
+        assert [e.raw for e in gateway.ledger.log] == ['"Ada Veil" and']
 
 
 class FlakyBackend:
@@ -323,6 +357,33 @@ class TestRetries:
         with pytest.raises(TransportError):
             gateway.search(connectivity_query("Ada Veil", "and"), k=5)
         assert backend.calls == 3
+        assert sleeps == [1.0, 2.0]
+
+    def test_fatal_status_fails_fast(self):
+        calls, sleeps = [], []
+
+        def transport(url, params, headers):
+            calls.append(params)
+            return 401, {}
+
+        gateway = SearchGateway(LiveBackend("k", transport=transport), sleep=sleeps.append)
+        with pytest.raises(FatalTransportError, match="401"):
+            gateway.search(connectivity_query("Ada Veil", "and"), k=5)
+        assert len(calls) == 1
+        assert sleeps == []
+
+    def test_server_error_is_retried(self):
+        calls, sleeps = [], []
+
+        def transport(url, params, headers):
+            calls.append(params)
+            return 503, {}
+
+        gateway = SearchGateway(LiveBackend("k", transport=transport), sleep=sleeps.append)
+        with pytest.raises(TransportError, match="503") as excinfo:
+            gateway.search(connectivity_query("Ada Veil", "and"), k=5)
+        assert not isinstance(excinfo.value, FatalTransportError)
+        assert len(calls) == gateway.retries == 3
         assert sleeps == [1.0, 2.0]
 
     def test_retries_validated(self):
@@ -376,7 +437,54 @@ class TestSnippetCache:
         gateway = builder.gateway(cache=cache)
         query = connectivity_query("Ada Veil", "and")
         cold, _ = gateway.search(query, k=5)
-        assert cache.get(query) == cold
+        assert cache.get(query, 5) == cold
+
+    def test_shallower_entry_is_a_miss(self, tmp_path):
+        cache = SnippetCache(str(tmp_path / "cache"))
+        gateway = SearchGateway(ReplayBackend(matching_records(120)), cache=cache)
+        query = connectivity_query("Ada Veil", "and")
+        gateway.search(query, k=10)
+        deep, spent = gateway.search(query, k=200)
+        assert len(deep) == 120
+        assert spent == 3
+        # the deeper answer replaced the entry
+        assert cache.get(query, 200) == deep
+
+    def test_garbage_body_is_a_charged_miss(self, tmp_path):
+        cache = SnippetCache(str(tmp_path / "cache"))
+        gateway = SearchGateway(ReplayBackend(matching_records(3)), cache=cache)
+        query = connectivity_query("Ada Veil", "and")
+        gateway.search(query, k=10)
+        with open(cache._path(query.cache_key), "a", encoding="utf-8") as fh:
+            fh.write("not\ta record\\q\n")
+        assert cache.get(query, 10) is None
+        snippets, spent = gateway.search(query, k=10)
+        assert len(snippets) == 3 and spent == 1
+        assert gateway.ledger.used_requests == 2
+
+    def test_undecodable_entry_is_a_miss(self, tmp_path):
+        cache = SnippetCache(str(tmp_path / "cache"))
+        query = connectivity_query("Ada Veil", "and")
+        with open(cache._path(query.cache_key), "wb") as fh:
+            fh.write(b"\xff\xfe\t10\n")
+        assert cache.get(query, 10) is None
+
+    def test_empty_file_is_a_miss(self, tmp_path):
+        cache = SnippetCache(str(tmp_path / "cache"))
+        query = connectivity_query("Ada Veil", "and")
+        open(cache._path(query.cache_key), "w").close()
+        assert cache.get(query, 1) is None
+        gateway = SearchGateway(ReplayBackend(matching_records(2)), cache=cache)
+        snippets, spent = gateway.search(query, k=10)
+        assert len(snippets) == 2 and spent == 1
+
+    def test_header_without_depth_is_a_miss(self, tmp_path):
+        cache = SnippetCache(str(tmp_path / "cache"))
+        query = connectivity_query("Ada Veil", "and")
+        with open(cache._path(query.cache_key), "w", encoding="utf-8") as fh:
+            fh.write(escape_field(query.raw) + "\n")
+            save_corpus(matching_records(2), fh)
+        assert cache.get(query, 1) is None
 
 
 def fake_page(items):
