@@ -49,11 +49,13 @@ from .extract import (
 from .graph import SocialGraph, read_edge_list_file, write_edge_list
 from .search import (
     LiveBackend,
+    QueryLogEntry,
     SearchGateway,
     SnippetCache,
     TransportError,
     replay_backend_from_corpus,
     save_corpus_file,
+    write_query_log,
 )
 
 API_KEY_ENV = "SEARCH_API_KEY"
@@ -269,6 +271,7 @@ def _finish_run(
     report: RunReport,
     mode: str,
     patterns: list[Pattern] | None,
+    query_log: list[QueryLogEntry],
 ) -> int:
     _ensure_parent(prefix)
     with open(prefix + ".edges", "w", encoding="utf-8") as fh:
@@ -277,9 +280,12 @@ def _finish_run(
         write_trace_csv(report, fh)
     with open(prefix + ".summary.txt", "w", encoding="utf-8") as fh:
         fh.write(_summary_text(report, mode))
+    with open(prefix + ".queries.tsv", "w", encoding="utf-8", newline="") as fh:
+        write_query_log(query_log, fh)
     print(f"wrote {prefix}.edges ({report.edges_found} edges, {report.nodes_found} nodes)")
     print(f"wrote {prefix}.trace.csv ({len(report.steps)} steps)")
     print(f"wrote {prefix}.summary.txt (stopped: {report.stopped_reason})")
+    print(f"wrote {prefix}.queries.tsv ({len(query_log)} queries)")
     if patterns is not None:
         save_patterns_file(patterns, prefix + ".patterns.txt")
         print(f"wrote {prefix}.patterns.txt ({len(patterns)} patterns)")
@@ -310,7 +316,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
     else:
         graph, report = expand_static(run_config, gateway, catalog)
         final_patterns = None
-    return _finish_run(prefix, graph, report, run_config.mode, final_patterns)
+    return _finish_run(
+        prefix, graph, report, run_config.mode, final_patterns, gateway.ledger.log
+    )
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
@@ -329,7 +337,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         k=settings.get("k", int, default=200),
         max_entities=settings.get("max_entities", int),
     )
-    return _finish_run(prefix, graph, report, "baseline", None)
+    return _finish_run(prefix, graph, report, "baseline", None, gateway.ledger.log)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

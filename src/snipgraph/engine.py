@@ -10,8 +10,10 @@ expand_with_pattern_mining wraps the same loop in iterations. After each
 frontier exhaustion it issues pair queries over the heaviest edges, scores
 the phrases found between entities, and admits high-scoring ones as new
 patterns (queryable ones also join the query set). Each entity/pattern
-combination is queried at most once per run, so later iterations only spend
-requests on what the new patterns unlock.
+combination is queried at most once per run, and each pair query is sent at
+most once per run: a mining pass that meets an edge an earlier pass already
+pair-queried takes its snippets from the run's memo for no request. Later
+iterations thus only spend requests on what the new patterns unlock.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .search import (
     Query,
     QueryError,
     SearchGateway,
+    Snippet,
     TransportError,
     connectivity_query,
     is_queryable_phrase,
@@ -230,6 +233,8 @@ class _Run:
         self.step_count = 0
         self.queried: set[tuple[str, str]] = set()
         self.dead: set[str] = set()
+        # answers to the pair queries sent so far, all at depth config.k
+        self.pair_answers: dict[str, list[Snippet]] = {}
         self.seeds = canonical_seeds(config.seeds, catalog)
         self.discovered = list(self.seeds)
         for seed in self.seeds:
@@ -349,7 +354,10 @@ def _mine_patterns(run: _Run) -> tuple[int, list[PatternCandidate], list[Pattern
 
     Returns (pair queries issued, candidates, admitted patterns). The budget
     is checked before each pair query; candidates are scored over whatever
-    was fetched before the cutoff.
+    was fetched before the cutoff. A pair query an earlier pass already sent
+    is answered from `run.pair_answers` for no request, so the candidates
+    are those of a pass that sent every query afresh. The count issued
+    includes those memo answers.
     """
     config = run.config
     issued = 0
@@ -366,7 +374,7 @@ def _mine_patterns(run: _Run) -> tuple[int, list[PatternCandidate], list[Pattern
             issued += 1
             yield query
 
-    pooled = run.gateway.search_pooled(queries(), config.k)
+    pooled = run.gateway.search_pooled(queries(), config.k, run.pair_answers)
     candidates = extract_pattern_candidates(pooled, run.catalog)
     known = {p.key for p in run.match_patterns}
     admitted: list[Pattern] = []

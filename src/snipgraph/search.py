@@ -228,9 +228,16 @@ def save_corpus_file(records: Iterable[CorpusRecord], path: str) -> None:
 
 @dataclass(frozen=True)
 class QueryLogEntry:
+    """One search as the ledger saw it: `requests` counts every backend call
+    it made, `retries` the failed ones among them, and `snippets` what it
+    returned. A cached entry was answered without a backend call."""
+
     raw: str
     requests: int
     cached: bool
+    kind: str = ""
+    retries: int = 0
+    snippets: int = 0
 
 
 @dataclass
@@ -238,7 +245,8 @@ class BudgetLedger:
     """Tracks search requests against an optional cap.
 
     `used_requests` only grows; cache hits are logged but cost nothing.
-    `max_requests` of None means unlimited.
+    `queries_issued` counts charged searches, one per charge() however many
+    calls the search made. `max_requests` of None means unlimited.
     """
 
     max_requests: int | None = None
@@ -250,15 +258,39 @@ class BudgetLedger:
     def exhausted(self) -> bool:
         return self.max_requests is not None and self.used_requests >= self.max_requests
 
-    def charge(self, raw_query: str, requests: int) -> None:
+    def charge(
+        self,
+        raw_query: str,
+        requests: int,
+        *,
+        kind: str = "",
+        retries: int = 0,
+        snippets: int = 0,
+    ) -> None:
         if requests < 0:
             raise ValueError("requests must be >= 0")
         self.used_requests += requests
         self.queries_issued += 1
-        self.log.append(QueryLogEntry(raw_query, requests, cached=False))
+        self.log.append(
+            QueryLogEntry(raw_query, requests, False, kind, retries, snippets)
+        )
 
-    def note_cached(self, raw_query: str) -> None:
-        self.log.append(QueryLogEntry(raw_query, 0, cached=True))
+    def note_cached(self, raw_query: str, *, kind: str = "", snippets: int = 0) -> None:
+        self.log.append(QueryLogEntry(raw_query, 0, True, kind, 0, snippets))
+
+
+QUERY_LOG_COLUMNS = ("query", "kind", "requests", "retries", "cached", "snippets")
+
+
+def write_query_log(log: Iterable[QueryLogEntry], fh: IO[str]) -> None:
+    """One tab-separated row per ledger entry under a QUERY_LOG_COLUMNS
+    header; the query is escaped like a corpus field, cached is 1 or 0."""
+    fh.write("\t".join(QUERY_LOG_COLUMNS) + "\n")
+    for e in log:
+        fh.write(
+            f"{escape_field(e.raw)}\t{e.kind}\t{e.requests}\t{e.retries}"
+            f"\t{int(e.cached)}\t{e.snippets}\n"
+        )
 
 
 # --- cache ----------------------------------------------------------------
@@ -494,13 +526,15 @@ class SearchGateway:
 
     search() fetches PAGE_SIZE results per request until k results are
     collected or a short page signals the end, and returns the snippets
-    together with the number of requests it consumed. Duplicate (url, text)
-    results are dropped. One budget request is charged per page actually
-    fetched; cache hits are free. The gateway never refuses a search:
-    callers check the ledger between searches, so a search may overshoot
-    the cap. search_pooled() pools several queries under the same (url,
-    text) rule. A failed page is retried with doubling backoff, except a
-    FatalTransportError, which is raised at once.
+    together with the number of pages that returned results. Duplicate (url,
+    text) results are dropped. A failed page is retried with doubling
+    backoff, except a FatalTransportError, which is raised at once. The
+    ledger is charged one request per backend call, failed attempts
+    included, also when the search ends in a TransportError; cache hits are
+    free. The gateway never refuses a search: callers check the ledger
+    between searches, so a search may overshoot the cap. search_pooled()
+    pools several queries under the same (url, text) rule and can answer a
+    repeated query from a caller's memo for no request.
     """
 
     def __init__(
@@ -521,65 +555,93 @@ class SearchGateway:
         self.backoff = backoff
         self._sleep = sleep
 
-    def _fetch_page(self, raw_query: str, offset: int) -> list[CorpusRecord]:
+    def _fetch_page(
+        self, raw_query: str, offset: int, failures: list[TransportError]
+    ) -> list[CorpusRecord]:
+        """One result page; each failed attempt is appended to `failures`."""
         delay = self.backoff
         for attempt in range(1, self.retries + 1):
             try:
                 return self.backend.fetch(raw_query, offset, PAGE_SIZE)
-            except FatalTransportError:
-                raise
-            except TransportError:
-                if attempt == self.retries:
+            except TransportError as exc:
+                failures.append(exc)
+                if isinstance(exc, FatalTransportError) or attempt == self.retries:
                     raise
                 self._sleep(delay)
                 delay *= 2
         raise AssertionError("unreachable")
 
     def search(self, query: Query, k: int) -> tuple[list[Snippet], int]:
-        """Up to k ranked snippets for `query` plus the requests consumed;
-        see class docstring."""
+        """Up to k ranked snippets for `query` plus the pages fetched; see
+        class docstring."""
         if k < 1:
             raise ValueError("k must be >= 1")
         validate_query_text(query.raw)
         if self.cache is not None:
             cached = self.cache.get(query, k)
             if cached is not None:
-                self.ledger.note_cached(query.raw)
-                return cached[:k], 0
+                cached = cached[:k]
+                self.ledger.note_cached(query.raw, kind=query.kind, snippets=len(cached))
+                return cached, 0
         max_pages = requests_for(k)
         collected: list[Snippet] = []
         seen: set[tuple[str, str]] = set()
+        failures: list[TransportError] = []
+        result: list[Snippet] = []
         spent = 0
-        for page_idx in range(max_pages):
-            page = self._fetch_page(query.raw, page_idx * PAGE_SIZE)
-            spent += 1
-            for rec in page:
-                key = (rec.url, rec.text)
-                if key in seen:
-                    continue
-                seen.add(key)
-                collected.append(
-                    Snippet(rec.url, rec.domain.lower(), rec.text, len(collected) + 1)
-                )
-            if len(page) < PAGE_SIZE or len(collected) >= k:
-                break
-        self.ledger.charge(query.raw, spent)
-        result = collected[:k]
+        try:
+            for page_idx in range(max_pages):
+                page = self._fetch_page(query.raw, page_idx * PAGE_SIZE, failures)
+                spent += 1
+                for rec in page:
+                    key = (rec.url, rec.text)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    collected.append(
+                        Snippet(rec.url, rec.domain.lower(), rec.text, len(collected) + 1)
+                    )
+                if len(page) < PAGE_SIZE or len(collected) >= k:
+                    break
+            result = collected[:k]
+        finally:
+            self.ledger.charge(
+                query.raw,
+                spent + len(failures),
+                kind=query.kind,
+                retries=len(failures),
+                snippets=len(result),
+            )
         if self.cache is not None:
             self.cache.put(query, result, k)
         return result, spent
 
-    def search_pooled(self, queries: Iterable[Query], k: int) -> list[Snippet]:
+    def search_pooled(
+        self,
+        queries: Iterable[Query],
+        k: int,
+        answers: dict[str, list[Snippet]] | None = None,
+    ) -> list[Snippet]:
         """Search each query in turn and pool the results, keeping the first
         copy, with its rank, of each (url, text).
 
         `queries` is consumed lazily, one item per search, so a generator
-        can check the ledger or record state between searches.
+        can check the ledger or record state between searches. `answers`,
+        when given, is a memo keyed by Query.cache_key that the caller keeps
+        across calls with one k: a query already in it is answered from it
+        for no request (the ledger logs a cached entry), and every query
+        searched is stored in it.
         """
         pooled: list[Snippet] = []
         seen: set[tuple[str, str]] = set()
         for query in queries:
-            snippets, _ = self.search(query, k)
+            if answers is not None and query.cache_key in answers:
+                snippets = answers[query.cache_key]
+                self.ledger.note_cached(query.raw, kind=query.kind, snippets=len(snippets))
+            else:
+                snippets, _ = self.search(query, k)
+                if answers is not None:
+                    answers[query.cache_key] = snippets
             for snippet in snippets:
                 key = (snippet.url, snippet.text)
                 if key not in seen:

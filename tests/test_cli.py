@@ -126,6 +126,22 @@ class TestMinePatterns:
         assert "patterns admitted: 1\n" in summary
         assert "run.patterns.txt" in capsys.readouterr().out
 
+    def test_query_log_accounts_for_every_request(self, mining_workspace, capsys):
+        ws = mining_workspace
+        assert main(base_args(ws, command="mine-patterns")) == 0
+        header, *rows = [
+            line.split("\t")
+            for line in (ws / "out/run.queries.tsv").read_text().splitlines()
+        ]
+        assert header == ["query", "kind", "requests", "retries", "cached", "snippets"]
+        summary = (ws / "out/run.summary.txt").read_text()
+        assert f"requests: {sum(int(r[2]) for r in rows)}\n" in summary
+        assert f"queries: {sum(r[4] == '0' for r in rows)}\n" in summary
+        pair = f'"{A}" "{B}"'
+        # two mining passes pair-query the one edge; the second is a memo hit
+        assert [r[2:5] for r in rows if r[0] == pair] == [["1", "0", "0"], ["0", "0", "1"]]
+        assert f"run.queries.tsv ({len(rows)} queries)" in capsys.readouterr().out
+
     def test_rejects_non_mining_mode(self, mining_workspace, capsys):
         args = base_args(mining_workspace, command="mine-patterns") + ["--mode", "bf"]
         assert main(args) == 1

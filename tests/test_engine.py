@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,7 +22,9 @@ from snipgraph.engine import (
     step_trace_to_curve,
     write_trace_csv,
 )
+from snipgraph.corpus import synthesize
 from snipgraph.search import (
+    PAIR,
     ReplayBackend,
     SearchGateway,
     SnippetCache,
@@ -384,3 +387,71 @@ class TestPatternMining:
         _graph, report, _patterns, _gw = run_mining(mining_corpus())
         from_iterations = [s for it in report.iterations for s in it.steps]
         assert from_iterations == report.steps
+
+
+class NoMemoGateway(SearchGateway):
+    """Oracle for the pair-query memo: sends every pair query afresh."""
+
+    def search_pooled(self, queries, k, answers=None):
+        return super().search_pooled(queries, k)
+
+
+class CountingBackend(ReplayBackend):
+    """Replay that counts fetches per (raw query, offset)."""
+
+    def __init__(self, records):
+        super().__init__(records)
+        self.fetched = Counter()
+
+    def fetch(self, raw_query, offset, count):
+        self.fetched[raw_query, offset] += 1
+        return super().fetch(raw_query, offset, count)
+
+
+class TestPairQueryMemo:
+    @staticmethod
+    def run(corpus, gateway_cls):
+        backend = CountingBackend(corpus.records)
+        gateway = gateway_cls(backend)
+        config = RunConfig(seeds=tuple(corpus.names[:1]), mode=MODE_PATTERN_ITER)
+        graph, report, patterns = expand_with_pattern_mining(
+            config, gateway, make_catalog(corpus.names)
+        )
+        pair_raws = {e.raw for e in gateway.ledger.log if e.kind == PAIR}
+        pair_fetches = [n for (raw, _), n in backend.fetched.items() if raw in pair_raws]
+        return graph, report, patterns, pair_fetches
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_memo_run_equals_resending_run(self, seed):
+        corpus = synthesize(
+            n_nodes=40,
+            attach=3,
+            patterns={"and": 3, "performs beside": 2, "dines with": 1},
+            noise_ratio=1.0,
+            seed=seed,
+        )
+        graph, report, patterns, pair_fetches = self.run(corpus, SearchGateway)
+        o_graph, o_report, o_patterns, o_pair_fetches = self.run(corpus, NoMemoGateway)
+
+        assert sorted(graph.edges()) == sorted(o_graph.edges())
+        without_requests = [
+            dataclasses.replace(s, requests_used=0) for s in report.steps
+        ]
+        assert without_requests == [
+            dataclasses.replace(s, requests_used=0) for s in o_report.steps
+        ]
+        assert [
+            (it.candidates, it.admitted, it.pair_queries_issued)
+            for it in report.iterations
+        ] == [
+            (it.candidates, it.admitted, it.pair_queries_issued)
+            for it in o_report.iterations
+        ]
+        assert patterns == o_patterns
+        assert report.pair_queries_issued == o_report.pair_queries_issued
+
+        # the corpus plants two mined phrases, so a second pass always runs
+        assert len(report.iterations) >= 2
+        assert report.requests_used < o_report.requests_used
+        assert pair_fetches and max(pair_fetches) == 1
+        assert max(o_pair_fetches) > 1

@@ -1,6 +1,10 @@
 """Queries, corpus TSV format, budget ledger, cache, backends, gateway."""
 
+import io
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from snipgraph.search import (
     PAGE_SIZE,
@@ -11,6 +15,7 @@ from snipgraph.search import (
     LiveBackend,
     Query,
     QueryError,
+    QueryLogEntry,
     ReplayBackend,
     SearchGateway,
     SnippetCache,
@@ -26,6 +31,7 @@ from snipgraph.search import (
     requests_for,
     save_corpus,
     unescape_field,
+    write_query_log,
 )
 
 from conftest import CorpusBuilder
@@ -159,6 +165,32 @@ class TestBudgetLedger:
         ]
         assert ledger.used_requests == 2
         assert ledger.queries_issued == 1
+
+    def test_log_keeps_kind_retries_and_snippets(self):
+        ledger = BudgetLedger()
+        ledger.charge("q1", 4, kind="pair", retries=3, snippets=60)
+        ledger.note_cached("q1", kind="pair", snippets=60)
+        assert ledger.log == [
+            QueryLogEntry("q1", 4, False, "pair", 3, 60),
+            QueryLogEntry("q1", 0, True, "pair", 0, 60),
+        ]
+        assert ledger.used_requests == 4
+        assert ledger.queries_issued == 1
+
+    def test_query_log_tsv(self):
+        buf = io.StringIO()
+        write_query_log(
+            [
+                QueryLogEntry('"Ada\tVeil" and', 2, False, "connectivity", 1, 7),
+                QueryLogEntry('"Ada" "Bo"', 0, True, "pair", 0, 3),
+            ],
+            buf,
+        )
+        assert buf.getvalue() == (
+            "query\tkind\trequests\tretries\tcached\tsnippets\n"
+            '"Ada\\tVeil" and\tconnectivity\t2\t1\t0\t7\n'
+            '"Ada" "Bo"\tpair\t0\t0\t1\t3\n'
+        )
 
 
 def matching_records(count, needle="Ada Veil"):
@@ -324,6 +356,31 @@ class TestSearchPooled:
         assert gateway.ledger.queries_issued == 1
         assert [e.raw for e in gateway.ledger.log] == ['"Ada Veil" and']
 
+    def test_memo_answers_a_repeat_for_no_request(self):
+        backend = FlakyBackend(matching_records(3), failures=0)
+        gateway = SearchGateway(backend)
+        answers = {}
+        first = gateway.search_pooled(
+            [connectivity_query("Ada Veil", "and")], k=10, answers=answers
+        )
+        assert backend.calls == 1
+        # same cache key, then a new query: only the new one reaches fetch
+        again = gateway.search_pooled(
+            [connectivity_query("ada  VEIL", "and"), connectivity_query("Ada Veil", "with")],
+            k=10,
+            answers=answers,
+        )
+        assert backend.calls == 2
+        assert again == first
+        assert gateway.ledger.used_requests == 2
+        assert gateway.ledger.queries_issued == 2
+        assert [(e.raw, e.requests, e.cached, e.snippets) for e in gateway.ledger.log] == [
+            ('"Ada Veil" and', 1, False, 3),
+            ('"ada  VEIL" and', 0, True, 3),
+            ('"Ada Veil" with', 1, False, 3),
+        ]
+        assert sorted(answers) == ['"ada veil" and', '"ada veil" with']
+
 
 class FlakyBackend:
     """Fails the first `failures` fetches, then delegates to a replay."""
@@ -389,6 +446,54 @@ class TestRetries:
     def test_retries_validated(self):
         with pytest.raises(ValueError, match="retries"):
             SearchGateway(ReplayBackend([]), retries=0)
+
+
+class ScheduledBackend:
+    """Replay whose n-th fetch raises schedule[n] (None succeeds); fetches
+    past the end of the schedule succeed. Counts every fetch."""
+
+    def __init__(self, records, schedule):
+        self.inner = ReplayBackend(records)
+        self.schedule = list(schedule)
+        self.calls = 0
+
+    def fetch(self, raw_query, offset, count):
+        error = self.schedule[self.calls] if self.calls < len(self.schedule) else None
+        self.calls += 1
+        if error is not None:
+            raise error("boom")
+        return self.inner.fetch(raw_query, offset, count)
+
+
+@settings(max_examples=200, deadline=None)
+# a good page, then a page that fails on all three attempts
+@example(schedule=[None] + [TransportError] * 3, retries=3, k=200, records=120)
+# a page that succeeds on its third attempt
+@example(schedule=[TransportError] * 2, retries=3, k=5, records=2)
+@given(
+    schedule=st.lists(
+        st.sampled_from([None, None, TransportError, FatalTransportError]), max_size=12
+    ),
+    retries=st.integers(1, 4),
+    k=st.integers(1, 200),
+    records=st.integers(0, 160),
+)
+def test_ledger_charges_every_backend_call(schedule, retries, k, records):
+    backend = ScheduledBackend(matching_records(records), schedule)
+    gateway = SearchGateway(backend, retries=retries, sleep=lambda _s: None)
+    try:
+        snippets, spent = gateway.search(connectivity_query("Ada Veil", "and"), k)
+    except TransportError:
+        snippets, spent = [], None
+    failed = sum(error is not None for error in schedule[: backend.calls])
+    assert gateway.ledger.used_requests == backend.calls
+    assert gateway.ledger.queries_issued == 1
+    [entry] = gateway.ledger.log
+    assert (entry.requests, entry.retries, entry.snippets) == (
+        backend.calls, failed, len(snippets)
+    )
+    if spent is not None:
+        assert spent == backend.calls - failed
 
 
 class TestSnippetCache:
