@@ -27,9 +27,9 @@ from .engine import (
 from .graph import SocialGraph
 from .search import (
     BudgetLedger,
+    CorpusRecord,
     QueryError,
     SearchGateway,
-    Snippet,
     TransportError,
     entity_query,
     pair_query,
@@ -87,10 +87,6 @@ def top_relations(graph: SocialGraph, k: int) -> list[tuple[str, str, int]]:
     if k < 1:
         raise ValueError("k must be >= 1")
     return graph.top_edges(k)
-
-
-def format_relation(a: str, b: str, weight: int) -> str:
-    return f"{a} -- {b} ({weight})"
 
 
 # --- term/category mutual information -------------------------------------
@@ -287,14 +283,14 @@ def baseline_pairwise(
     for seed in resolved:
         graph.add_node(seed)
 
-    singles: dict[str, list[Snippet] | None] = {}
+    singles: dict[str, list[CorpusRecord] | None] = {}
     scored: set[tuple[str, str]] = set()
     steps: list[StepRecord] = []
     stopped = FRONTIER_EMPTY
     complete = True
     processed = 0
 
-    def fetch_single(name: str) -> list[Snippet] | None:
+    def fetch_single(name: str) -> list[CorpusRecord] | None:
         """Snippets for `"name"` alone; None when the name is unqueryable."""
         if name in singles:
             return singles[name]

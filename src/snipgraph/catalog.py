@@ -118,22 +118,14 @@ class _NamePlan:
         return rx
 
 
-@dataclass(frozen=True)
-class Entity:
-    """A catalog member; `canonical_name` is the catalog's stored spelling."""
-
-    canonical_name: str
-
-
 @dataclass
 class EntityCatalog:
     """Immutable-after-load name dictionary.
 
-    `names` holds canonical spellings (first occurrence wins on duplicates);
-    `normalized_index` maps each normalized form back to its canonical name.
+    `normalized_index` maps each normalized form to its canonical spelling
+    (first occurrence wins on duplicates).
     """
 
-    names: set[str] = field(default_factory=set)
     normalized_index: dict[str, str] = field(default_factory=dict)
     loaded: int = 0
     skipped: int = 0
@@ -156,7 +148,6 @@ class EntityCatalog:
         key = normalize_name(canonical)
         if not key or key in self.normalized_index:
             return False
-        self.names.add(canonical)
         self.normalized_index[key] = canonical
         self._matcher = None
         self._plan = None
@@ -202,22 +193,12 @@ def load_catalog_file(path: str) -> EntityCatalog:
         return load_catalog(fh)
 
 
-def _char_to_byte_table(text: str) -> list[int]:
-    # offsets[i] = byte offset of char i in UTF-8; one extra entry for the end
-    offsets = [0] * (len(text) + 1)
-    pos = 0
-    for i, ch in enumerate(text):
-        offsets[i] = pos
-        pos += len(ch.encode("utf-8"))
-    offsets[len(text)] = pos
-    return offsets
-
-
 def find_entity_matches(text: str, catalog: EntityCatalog) -> list[tuple[str, int, int]]:
     """Non-overlapping catalog matches as (canonical_name, char_start, char_end).
 
-    Longest match wins at each position, scanning left to right. Used
-    internally by the snippet extractors, which need character offsets.
+    Longest match wins at each position, scanning left to right, and
+    matches are token-bounded (characters adjacent to a match are never
+    letters or digits).
 
     `catalog.matcher()`, one alternation over every name, defines the result.
     ASCII text takes a faster route with the same result: only the names
@@ -264,18 +245,3 @@ def _replay_alternation(text: str, plan: _NamePlan) -> list[tuple[int, int]]:
             spans.append((start, pos))
     return spans
 
-
-def find_entities(text: str, catalog: EntityCatalog) -> list[tuple[Entity, tuple[int, int]]]:
-    """All catalog-name occurrences in `text` with UTF-8 byte spans.
-
-    Matches are non-overlapping, sorted by start offset, longest-match-wins,
-    and token-bounded (characters adjacent to a match are never letters or
-    digits).
-    """
-    matches = find_entity_matches(text, catalog)
-    if not matches:
-        return []
-    if text.isascii():
-        return [(Entity(name), (s, e)) for name, s, e in matches]
-    table = _char_to_byte_table(text)
-    return [(Entity(name), (table[s], table[e])) for name, s, e in matches]

@@ -221,11 +221,15 @@ def _build_gateway(settings: Settings, live_ok: bool) -> SearchGateway:
     raise ConfigError(f"backend must be replay or live, not {backend_name!r}")
 
 
+def _given(settings: Settings, **casts: Callable[[str], object]) -> dict[str, object]:
+    """The settings among `casts` that a flag or the config file sets; the
+    others are left out, so each default lives where the value is used."""
+    values = {key: settings.get(key, cast) for key, cast in casts.items()}
+    return {key: value for key, value in values.items() if value is not None}
+
+
 def _build_run_config(settings: Settings, default_mode: str) -> RunConfig:
-    mode = settings.get("mode", str, default=default_mode)
-    if mode not in MODES:
-        raise ConfigError("mode must be bf, prio, or pattern-iter")
-    return RunConfig(
+    run_config = RunConfig(
         seeds=_load_seeds(settings),
         query_patterns=_load_phrases(
             settings, "patterns_file", "patterns", DEFAULT_QUERY_PATTERNS
@@ -233,15 +237,14 @@ def _build_run_config(settings: Settings, default_mode: str) -> RunConfig:
         match_patterns=_load_phrases(
             settings, "match_patterns_file", "match_patterns", DEFAULT_MATCH_PATTERNS
         ),
-        tau=settings.get("tau", int, default=2),
-        sigma=settings.get("sigma", int, default=5),
-        alpha=settings.get("alpha", float, default=0.0),
-        h=settings.get("h", int, default=100),
-        k=settings.get("k", int, default=200),
-        max_requests=settings.get("max_requests", int),
-        max_iterations=settings.get("max_iterations", int, default=3),
-        mode=mode,
+        mode=settings.get("mode", str, default=default_mode),
+        **_given(
+            settings, tau=int, sigma=int, alpha=float, h=int, k=int,
+            max_requests=int, max_iterations=int,
+        ),
     )
+    run_config.validate()
+    return run_config
 
 
 def _summary_text(report: RunReport, mode: str) -> str:
@@ -328,15 +331,10 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     catalog = _load_catalog(settings)
     seeds = _load_seeds(settings)
     gateway = _build_gateway(settings, live_ok=args.live)
-    graph, report = baseline_pairwise(
-        seeds,
-        gateway,
-        catalog,
-        t=settings.get("threshold", float, default=0.1),
-        max_requests=settings.get("max_requests", int),
-        k=settings.get("k", int, default=200),
-        max_entities=settings.get("max_entities", int),
-    )
+    limits = _given(settings, threshold=float, max_requests=int, k=int, max_entities=int)
+    if "threshold" in limits:
+        limits["t"] = limits.pop("threshold")
+    graph, report = baseline_pairwise(seeds, gateway, catalog, **limits)
     return _finish_run(prefix, graph, report, "baseline", None, gateway.ledger.log)
 
 

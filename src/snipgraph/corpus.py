@@ -107,7 +107,7 @@ def pa_edge_list(
 
 @dataclass
 class SyntheticCorpus:
-    """Snippet records plus the ground truth they encode."""
+    """Corpus records plus the ground truth they encode."""
 
     records: list[CorpusRecord]
     names: list[str]

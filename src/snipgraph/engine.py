@@ -37,10 +37,10 @@ from .frontier import FIFO, PRIORITY, Frontier
 from .graph import SocialGraph
 from .search import (
     BudgetLedger,
+    CorpusRecord,
     Query,
     QueryError,
     SearchGateway,
-    Snippet,
     TransportError,
     connectivity_query,
     is_queryable_phrase,
@@ -161,11 +161,6 @@ class RunReport:
         return sum(it.pair_queries_issued for it in self.iterations)
 
 
-def step_trace_to_curve(report: RunReport) -> list[tuple[int, int, int]]:
-    """Growth curve points (requests_used, node_count, edge_count) per step."""
-    return [(s.requests_used, s.node_count, s.edge_count) for s in report.steps]
-
-
 def write_trace_csv(report: RunReport, fh: IO[str]) -> None:
     """One row per expansion step with cumulative totals."""
     writer = csv.writer(fh, lineterminator="\n")
@@ -234,7 +229,7 @@ class _Run:
         self.queried: set[tuple[str, str]] = set()
         self.dead: set[str] = set()
         # answers to the pair queries sent so far, all at depth config.k
-        self.pair_answers: dict[str, list[Snippet]] = {}
+        self.pair_answers: dict[str, list[CorpusRecord]] = {}
         self.seeds = canonical_seeds(config.seeds, catalog)
         self.discovered = list(self.seeds)
         for seed in self.seeds:

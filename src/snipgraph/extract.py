@@ -8,10 +8,11 @@ or without surrounding spaces. Comparison is case-sensitive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Protocol
+from dataclasses import dataclass
+from typing import IO, Iterable
 
 from .catalog import EntityCatalog, collapse_ws, find_entity_matches
+from .search import CorpusRecord
 
 # The single-space pattern: connects names separated by whitespace only.
 SPACE_PATTERN = " "
@@ -140,28 +141,6 @@ def save_patterns_file(patterns: Iterable[Pattern], path: str) -> None:
         save_patterns(patterns, fh)
 
 
-class SnippetLike(Protocol):
-    text: str
-    domain: str
-
-
-@dataclass
-class EdgeEvidence:
-    """Accumulated support for one entity pair.
-
-    `pair` is sorted; `count` is the number of matched co-occurrences and
-    `occurrences` lists each one as (pattern phrase, source domain).
-    """
-
-    pair: tuple[str, str]
-    count: int = 0
-    occurrences: list[tuple[str, str]] = field(default_factory=list)
-
-    def record(self, phrase: str, domain: str) -> None:
-        self.count += 1
-        self.occurrences.append((phrase, domain))
-
-
 def _adjacent_pairs(text: str, catalog: EntityCatalog):
     """Yield (name_a, name_b, gap_text) for consecutive distinct matches."""
     matches = find_entity_matches(text, catalog)
@@ -172,30 +151,25 @@ def _adjacent_pairs(text: str, catalog: EntityCatalog):
 
 
 def extract_edges(
-    snippets: Iterable[SnippetLike],
+    snippets: Iterable[CorpusRecord],
     catalog: EntityCatalog,
     patterns: Iterable[Pattern],
-) -> dict[tuple[str, str], EdgeEvidence]:
-    """Find pattern-connected entity pairs across a batch of snippets.
+) -> dict[tuple[str, str], int]:
+    """Count pattern-connected entity pairs across a batch of snippets.
 
     Each time adjacent distinct catalog names are separated by a known
-    pattern, the sorted pair gains one co-occurrence. Keys are canonical
-    names; evidence counts are summed over all snippets in the batch.
+    pattern, the sorted pair of canonical names gains one co-occurrence;
+    counts are summed over all snippets in the batch.
     """
-    phrase_by_key = {}
-    for pat in patterns:
-        phrase_by_key.setdefault(pat.key, pat.phrase)
-    edges: dict[tuple[str, str], EdgeEvidence] = {}
+    keys = {pat.key for pat in patterns}
+    counts: dict[tuple[str, str], int] = {}
     for snippet in snippets:
         for name1, name2, gap in _adjacent_pairs(snippet.text, catalog):
-            phrase = phrase_by_key.get(pattern_key(gap))
-            if phrase is None:
+            if pattern_key(gap) not in keys:
                 continue
             pair = (name1, name2) if name1 <= name2 else (name2, name1)
-            if pair not in edges:
-                edges[pair] = EdgeEvidence(pair)
-            edges[pair].record(phrase, snippet.domain)
-    return edges
+            counts[pair] = counts.get(pair, 0) + 1
+    return counts
 
 
 def candidate_score(n: int, m: int, d: int) -> int:
@@ -218,7 +192,7 @@ class PatternCandidate:
 
 
 def extract_pattern_candidates(
-    snippets: Iterable[SnippetLike],
+    snippets: Iterable[CorpusRecord],
     catalog: EntityCatalog,
     max_chars: int = MAX_PATTERN_CHARS,
     max_tokens: int = MAX_PATTERN_TOKENS,

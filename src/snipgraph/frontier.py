@@ -32,11 +32,10 @@ def priority_score(degree: int, steps_waited: int, alpha: float) -> float:
 @dataclass(frozen=True)
 class FrontierEntry:
     """A queued entity; `inserted_at_step` is the number of expansion steps
-    completed when it was enqueued, `seq` its global insertion index."""
+    completed when it was enqueued."""
 
     name: str
     inserted_at_step: int
-    seq: int
 
 
 def compute_priority(
@@ -63,7 +62,6 @@ class Frontier:
     mode: str = FIFO
     alpha: float = 0.0
     _entries: deque[FrontierEntry] = field(default_factory=deque)
-    _next_seq: int = 0
 
     def __post_init__(self) -> None:
         if self.mode not in (FIFO, PRIORITY):
@@ -74,14 +72,8 @@ class Frontier:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def push(self, name: str, step: int) -> FrontierEntry:
-        entry = FrontierEntry(name, step, self._next_seq)
-        self._next_seq += 1
-        self._entries.append(entry)
-        return entry
+    def push(self, name: str, step: int) -> None:
+        self._entries.append(FrontierEntry(name, step))
 
     def pop_next(self, graph: SupportsDegree, current_step: int) -> FrontierEntry | None:
         """Remove and return the next entity to expand; None when empty."""

@@ -10,8 +10,6 @@ from typing import IO, Iterable, Iterator, Mapping
 
 import networkx as nx
 
-from .extract import EdgeEvidence
-
 
 class EdgeListError(ValueError):
     """Malformed edge-list input; message names the offending line."""
@@ -71,17 +69,13 @@ class SocialGraph:
                 a, b = b, a
             yield a, b, data["weight"]
 
-    def neighbors(self, name: str) -> Iterator[str]:
-        if not self.graph.has_node(name):
-            return iter(())
-        return self.graph.neighbors(name)
-
     def merge_evidence(
         self,
-        evidence: Mapping[tuple[str, str], EdgeEvidence],
+        evidence: Mapping[tuple[str, str], int],
         tau: int,
     ) -> tuple[list[str], list[tuple[str, str]]]:
-        """Fold one search step's evidence into the graph.
+        """Fold one search step's evidence, a co-occurrence count per sorted
+        name pair, into the graph.
 
         A pair not yet in the graph needs count >= tau to enter; an existing
         edge always absorbs the new count. Returns nodes and edges that are
@@ -90,29 +84,24 @@ class SocialGraph:
         new_nodes: list[str] = []
         new_edges: list[tuple[str, str]] = []
         for pair in sorted(evidence):
-            ev = evidence[pair]
-            a, b = ev.pair
+            count = evidence[pair]
+            a, b = pair
             if self.graph.has_edge(a, b):
-                self.graph[a][b]["weight"] += ev.count
+                self.graph[a][b]["weight"] += count
                 continue
-            if ev.count < tau:
+            if count < tau:
                 continue
             for name in (a, b):
                 if not self.graph.has_node(name):
                     new_nodes.append(name)
-            self.graph.add_edge(a, b, weight=ev.count)
-            new_edges.append((a, b))
+            self.graph.add_edge(a, b, weight=count)
+            new_edges.append(pair)
         return new_nodes, new_edges
 
     def top_edges(self, h: int | None = None) -> list[tuple[str, str, int]]:
         """Heaviest edges first; ties break on the sorted name pair."""
         ranked = sorted(self.edges(), key=lambda e: (-e[2], e[0], e[1]))
         return ranked if h is None else ranked[:h]
-
-    def copy(self) -> "SocialGraph":
-        clone = SocialGraph()
-        clone.graph = self.graph.copy()
-        return clone
 
 
 def _check_name(name: str) -> str:

@@ -1,5 +1,6 @@
 """Search plumbing: queries, budget accounting, snippet corpora, caching,
-and the gateway that turns a query into a ranked, deduplicated snippet list.
+and the gateway that turns a query into a deduplicated snippet list in rank
+order.
 
 Two backends implement the same page-fetch protocol: ReplayBackend serves a
 fixed snippet corpus for offline, reproducible runs; LiveBackend talks to a
@@ -15,7 +16,7 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Protocol
+from typing import IO, Any, Callable, Iterable, Protocol
 from urllib.parse import urlparse
 
 from .catalog import alnum_runs, normalize_name, phrase_regex
@@ -109,18 +110,9 @@ def entity_query(entity: str) -> Query:
 
 
 @dataclass(frozen=True)
-class Snippet:
-    """One ranked search result: url, source domain, snippet text."""
-
-    url: str
-    domain: str
-    text: str
-    rank: int
-
-
-@dataclass(frozen=True)
 class CorpusRecord:
-    """One stored snippet: url, source domain, snippet text."""
+    """One search result, or one stored snippet: url, source domain, snippet
+    text. Lists of results are in rank order; the position is the rank."""
 
     url: str
     domain: str
@@ -142,10 +134,14 @@ _MULTI_PART_SUFFIXES = frozenset(
 
 def registrable_domain(url: str) -> str:
     """Registrable domain of a URL: the last two hostname labels, or three
-    when the last two form a known multi-part suffix like co.uk."""
-    host = urlparse(url).hostname
-    if host is None:
-        host = urlparse("//" + url).hostname or ""
+    when the last two form a known multi-part suffix like co.uk. A URL that
+    does not parse, like "http://[::1", has no domain: ""."""
+    try:
+        host = urlparse(url).hostname
+        if host is None:
+            host = urlparse("//" + url).hostname or ""
+    except ValueError:
+        return ""
     host = host.lower().rstrip(".")
     labels = host.split(".")
     if len(labels) <= 2:
@@ -314,7 +310,7 @@ class SnippetCache:
         digest = hashlib.sha256(cache_key.encode("utf-8")).hexdigest()
         return os.path.join(self.directory, digest + ".tsv")
 
-    def get(self, query: Query, k: int) -> list[Snippet] | None:
+    def get(self, query: Query, k: int) -> list[CorpusRecord] | None:
         """The stored snippets for `query`, or None unless the entry is
         intact and was fetched at depth k or deeper."""
         path = self._path(query.cache_key)
@@ -333,23 +329,17 @@ class SnippetCache:
         if not depth.isdecimal() or int(depth) < k:
             return None
         try:
-            records = load_corpus(lines[1:])
+            return load_corpus(lines[1:])
         except CorpusFormatError:
             return None
-        return [
-            Snippet(rec.url, rec.domain, rec.text, rank)
-            for rank, rec in enumerate(records, start=1)
-        ]
 
-    def put(self, query: Query, snippets: Iterable[Snippet], k: int) -> None:
+    def put(self, query: Query, snippets: Iterable[CorpusRecord], k: int) -> None:
         """Store `snippets`, the answer to `query` fetched at depth k."""
         path = self._path(query.cache_key)
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(f"{escape_field(query.raw)}\t{k}\n")
-            save_corpus(
-                (CorpusRecord(s.url, s.domain, s.text) for s in snippets), fh
-            )
+            save_corpus(snippets, fh)
         os.replace(tmp, path)
 
 
@@ -443,22 +433,24 @@ def replay_backend_from_corpus(path: str) -> ReplayBackend:
 
 DEFAULT_ENDPOINT = "https://api.bing.microsoft.com/v7.0/search"
 
-Transport = Callable[[str, dict, dict], tuple[int, dict]]
+# (url, params, headers) -> (status, JSON body); the body is read on 200 only
+Transport = Callable[[str, dict, dict], tuple[int, Any]]
 
 
 def _requests_transport(timeout: float) -> Transport:
     import requests
 
-    def transport(url: str, params: dict, headers: dict) -> tuple[int, dict]:
+    def transport(url: str, params: dict, headers: dict) -> tuple[int, Any]:
         try:
             resp = requests.get(url, params=params, headers=headers, timeout=timeout)
         except requests.RequestException as exc:
             raise TransportError(f"search request failed: {exc}") from exc
+        if resp.status_code != 200:
+            return resp.status_code, None
         try:
-            body = resp.json() if resp.content else {}
-        except ValueError:
-            body = {}
-        return resp.status_code, body
+            return resp.status_code, resp.json()
+        except ValueError as exc:
+            raise TransportError(f"search API body is not JSON: {exc}") from exc
 
     return transport
 
@@ -467,8 +459,10 @@ class LiveBackend:
     """Web search API backend.
 
     Speaks the common key-in-header JSON search protocol: GET with q, count,
-    and offset parameters, results under webPages.value. The transport is
-    injectable so tests never touch the network.
+    and offset parameters, results under webPages.value. A 200 whose body
+    does not have that shape raises TransportError, so the gateway charges
+    and retries it like any failed page. The transport is injectable so
+    tests never touch the network.
     """
 
     def __init__(
@@ -509,13 +503,17 @@ class LiveBackend:
             raise TransportError(f"search API returned status {status}")
         if status != 200:
             raise FatalTransportError(f"search API returned status {status}")
-        items = (body.get("webPages") or {}).get("value") or []
+        pages = (body.get("webPages") or {}) if isinstance(body, dict) else None
+        items = (pages.get("value") or []) if isinstance(pages, dict) else None
+        if not isinstance(items, list):
+            raise TransportError("search API returned a malformed result page")
         records = []
         for item in items:
-            url = item.get("url", "")
-            records.append(
-                CorpusRecord(url, registrable_domain(url), item.get("snippet", ""))
-            )
+            url = item.get("url", "") if isinstance(item, dict) else None
+            text = item.get("snippet", "") if isinstance(item, dict) else None
+            if not (isinstance(url, str) and isinstance(text, str)):
+                raise TransportError(f"search API returned a malformed result: {item!r}")
+            records.append(CorpusRecord(url, registrable_domain(url), text))
         return records
 
 
@@ -571,9 +569,9 @@ class SearchGateway:
                 delay *= 2
         raise AssertionError("unreachable")
 
-    def search(self, query: Query, k: int) -> tuple[list[Snippet], int]:
-        """Up to k ranked snippets for `query` plus the pages fetched; see
-        class docstring."""
+    def search(self, query: Query, k: int) -> tuple[list[CorpusRecord], int]:
+        """Up to k snippets for `query`, in rank order, plus the pages
+        fetched; see class docstring."""
         if k < 1:
             raise ValueError("k must be >= 1")
         validate_query_text(query.raw)
@@ -584,10 +582,10 @@ class SearchGateway:
                 self.ledger.note_cached(query.raw, kind=query.kind, snippets=len(cached))
                 return cached, 0
         max_pages = requests_for(k)
-        collected: list[Snippet] = []
+        collected: list[CorpusRecord] = []
         seen: set[tuple[str, str]] = set()
         failures: list[TransportError] = []
-        result: list[Snippet] = []
+        result: list[CorpusRecord] = []
         spent = 0
         try:
             for page_idx in range(max_pages):
@@ -598,9 +596,7 @@ class SearchGateway:
                     if key in seen:
                         continue
                     seen.add(key)
-                    collected.append(
-                        Snippet(rec.url, rec.domain.lower(), rec.text, len(collected) + 1)
-                    )
+                    collected.append(CorpusRecord(rec.url, rec.domain.lower(), rec.text))
                 if len(page) < PAGE_SIZE or len(collected) >= k:
                     break
             result = collected[:k]
@@ -620,10 +616,10 @@ class SearchGateway:
         self,
         queries: Iterable[Query],
         k: int,
-        answers: dict[str, list[Snippet]] | None = None,
-    ) -> list[Snippet]:
+        answers: dict[str, list[CorpusRecord]] | None = None,
+    ) -> list[CorpusRecord]:
         """Search each query in turn and pool the results, keeping the first
-        copy, with its rank, of each (url, text).
+        copy of each (url, text) in the order first seen.
 
         `queries` is consumed lazily, one item per search, so a generator
         can check the ledger or record state between searches. `answers`,
@@ -632,7 +628,7 @@ class SearchGateway:
         for no request (the ledger logs a cached entry), and every query
         searched is stored in it.
         """
-        pooled: list[Snippet] = []
+        pooled: list[CorpusRecord] = []
         seen: set[tuple[str, str]] = set()
         for query in queries:
             if answers is not None and query.cache_key in answers:

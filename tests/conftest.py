@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from snipgraph.catalog import EntityCatalog
-from snipgraph.search import CorpusRecord, ReplayBackend, SearchGateway, Snippet
+from snipgraph.search import CorpusRecord, ReplayBackend, SearchGateway
 
 NAMES = ("Ada Veil", "Bo Quist", "Cy Marsh", "Dee Falk", "Eli Gorst", "Fay Brant")
 
@@ -17,8 +17,8 @@ def make_catalog(names=NAMES):
     return catalog
 
 
-def make_snippet(text, domain="a.example", url=None, rank=1):
-    return Snippet(url or f"https://{domain}/x", domain, text, rank)
+def make_snippet(text, domain="a.example", url=None):
+    return CorpusRecord(url or f"https://{domain}/x", domain, text)
 
 
 class CorpusBuilder:

@@ -123,7 +123,7 @@ def oracle_edge_set(records, names, seed):
     """Scan the whole corpus, keep pairs meeting the evidence threshold,
     then restrict to the component the seed can reach."""
     evidence = extract_edges(records, build_catalog(names), [Pattern("and")])
-    surviving = {pair for pair, ev in evidence.items() if ev.count >= 2}
+    surviving = {pair for pair, count in evidence.items() if count >= 2}
     adjacency = {}
     for a, b in surviving:
         adjacency.setdefault(a, set()).add(b)
@@ -212,7 +212,7 @@ def test_03_priority_formula(verdict):
         rho = rng.randint(0, 10**6)
         alpha = rng.random() * 5.0
         waited = rng.randint(0, 10**4)
-        entry = FrontierEntry("x", inserted_at_step=0, seq=0)
+        entry = FrontierEntry("x", inserted_at_step=0)
         got = compute_priority(entry, DegreeStub({"x": rho}), waited, alpha)
         want = rho * math.exp(-alpha * waited)
         if not math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0):

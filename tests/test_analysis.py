@@ -10,7 +10,6 @@ from snipgraph.analysis import (
     TermCategoryTable,
     baseline_pairwise,
     build_term_category_table,
-    format_relation,
     mutual_information,
     overlap_coefficient,
     summarize,
@@ -99,9 +98,6 @@ class TestRelations:
     def test_top_relations_rejects_bad_k(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
             top_relations(SocialGraph(), 0)
-
-    def test_format_relation(self):
-        assert format_relation(A, B, 3) == "Ada Veil -- Bo Quist (3)"
 
 
 class TestTokenize:

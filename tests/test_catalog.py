@@ -4,10 +4,8 @@ import pytest
 
 from snipgraph.catalog import (
     CatalogLoadError,
-    Entity,
     EntityCatalog,
     collapse_ws,
-    find_entities,
     find_entity_matches,
     load_catalog,
     load_catalog_file,
@@ -112,16 +110,3 @@ class TestFindEntityMatches:
     def test_empty_catalog(self):
         assert find_entity_matches("Ada Veil", EntityCatalog()) == []
 
-
-class TestFindEntities:
-    def test_byte_spans_non_ascii(self, catalog):
-        text = "café with Ada Veil tonight"
-        [(entity, (start, end))] = find_entities(text, catalog)
-        assert entity == Entity("Ada Veil")
-        assert text.encode("utf-8")[start:end].decode("utf-8") == "Ada Veil"
-
-    def test_ascii_spans_match_char_spans(self, catalog):
-        text = "Ada Veil and Bo Quist"
-        byte_spans = [span for _e, span in find_entities(text, catalog)]
-        char_spans = [(s, e) for _n, s, e in find_entity_matches(text, catalog)]
-        assert byte_spans == char_spans

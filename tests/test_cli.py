@@ -11,7 +11,12 @@ from snipgraph.cli import (
 )
 from snipgraph.extract import load_patterns_file
 from snipgraph.graph import read_edge_list_file
-from snipgraph.search import SearchGateway, TransportError, save_corpus_file
+from snipgraph.search import (
+    LiveBackend,
+    SearchGateway,
+    TransportError,
+    save_corpus_file,
+)
 
 from conftest import NAMES, CorpusBuilder
 
@@ -350,6 +355,12 @@ class TestErrorPaths:
         assert main(base_args(workspace) + ["--tau", "0"]) == 1
         assert "tau must be >= 1" in capsys.readouterr().err
 
+    def test_bad_mode_in_config(self, workspace, capsys):
+        config = workspace / "run.cfg"
+        config.write_text("mode = fast\n", encoding="utf-8")
+        assert main(base_args(workspace) + ["--config", str(config)]) == 1
+        assert "mode must be bf, prio, or pattern-iter" in capsys.readouterr().err
+
     def test_unknown_flag(self, workspace, capsys):
         assert main(base_args(workspace) + ["--frobnicate"]) == 1
 
@@ -390,6 +401,27 @@ class TestTransportAbort:
         assert "status: aborted\n" in summary
         assert "stopped: transport-error\n" in summary
         assert (workspace / "out/run.edges").exists()
+
+    def test_malformed_live_page_is_charged_then_aborts(
+        self, workspace, capsys, monkeypatch
+    ):
+        def malformed_backend(api_key, min_delay):
+            return LiveBackend(api_key, transport=lambda u, p, h: (200, []))
+
+        def sleepless_gateway(backend, cache=None):
+            return SearchGateway(backend, cache=cache, sleep=lambda _s: None)
+
+        monkeypatch.setenv(cli.API_KEY_ENV, "k")
+        monkeypatch.setattr(cli, "LiveBackend", malformed_backend)
+        monkeypatch.setattr(cli, "SearchGateway", sleepless_gateway)
+        args = base_args(workspace) + ["--backend", "live", "--live"]
+        assert main(args) == 2
+        assert "partial outputs retained" in capsys.readouterr().err
+        summary = (workspace / "out/run.summary.txt").read_text()
+        assert "status: aborted\n" in summary
+        assert "requests: 3\n" in summary
+        [_header, row] = (workspace / "out/run.queries.tsv").read_text().splitlines()
+        assert row.split("\t")[2:4] == ["3", "3"]
 
 
 class TestParsePatternArgs:

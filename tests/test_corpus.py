@@ -101,8 +101,7 @@ class TestSynthesizeFromEdges:
         catalog = EntityCatalog()
         for name in names:
             catalog.add(name)
-        evidence = extract_edges(corpus.records, catalog, [Pattern("and")])
-        found = {pair: ev.count for pair, ev in evidence.items()}
+        found = extract_edges(corpus.records, catalog, [Pattern("and")])
         assert found == {
             tuple(sorted((a, b))): w for a, b, w in edges
         }

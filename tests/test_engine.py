@@ -19,7 +19,6 @@ from snipgraph.engine import (
     RunConfig,
     expand_static,
     expand_with_pattern_mining,
-    step_trace_to_curve,
     write_trace_csv,
 )
 from snipgraph.corpus import synthesize
@@ -241,9 +240,8 @@ class TestTrace:
             f"2,{B},4,1,1,3,2,2\n"
             f"3,{C},2,0,0,3,2,3\n"
         )
-        curve = step_trace_to_curve(report)
-        assert curve == [(1, 2, 1), (2, 3, 2), (3, 3, 2)]
-        assert curve[-1] == (
+        last = report.steps[-1]
+        assert (last.requests_used, last.node_count, last.edge_count) == (
             report.requests_used,
             report.nodes_found,
             report.edges_found,

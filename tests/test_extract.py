@@ -81,11 +81,7 @@ class TestExtractEdges:
             make_snippet("Ada Veil and Bo Quist arrive", domain="b.example"),
         ]
         edges = extract_edges(snippets, catalog, ALL_PATTERNS)
-        [(pair, ev)] = edges.items()
-        assert pair == ("Ada Veil", "Bo Quist")
-        assert ev.count == 2
-        assert ("and", "a.example") in ev.occurrences
-        assert ("and", "b.example") in ev.occurrences
+        assert edges == {("Ada Veil", "Bo Quist"): 2}
 
     def test_adjacent_pairs_only(self, catalog):
         snippets = [make_snippet("Ada Veil and Bo Quist and Cy Marsh")]
@@ -99,9 +95,7 @@ class TestExtractEdges:
     def test_space_pattern(self, catalog):
         snippets = [make_snippet("photo of Ada Veil  Bo Quist smiling")]
         edges = extract_edges(snippets, catalog, ALL_PATTERNS)
-        [(pair, ev)] = edges.items()
-        assert pair == ("Ada Veil", "Bo Quist")
-        assert ev.occurrences[0][0] == SPACE_PATTERN
+        assert edges == {("Ada Veil", "Bo Quist"): 1}
 
     def test_punctuation_pattern_flush(self, catalog):
         snippets = [make_snippet("duet: Ada Veil&Bo Quist tonight")]

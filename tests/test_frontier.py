@@ -29,7 +29,7 @@ def test_priority_score_formula():
 
 
 def test_compute_priority_uses_waiting_steps():
-    entry = FrontierEntry("A", inserted_at_step=3, seq=0)
+    entry = FrontierEntry("A", inserted_at_step=3)
     graph = DegreeStub({"A": 6})
     got = compute_priority(entry, graph, current_step=8, alpha=0.2)
     assert got == pytest.approx(6 * math.exp(-0.2 * 5), rel=1e-15)

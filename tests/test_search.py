@@ -1,8 +1,11 @@
 """Queries, corpus TSV format, budget ledger, cache, backends, gateway."""
 
 import io
+import json
+import tempfile
 
 import pytest
+import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +31,7 @@ from snipgraph.search import (
     pair_query,
     parse_query_terms,
     registrable_domain,
+    _requests_transport,
     requests_for,
     save_corpus,
     unescape_field,
@@ -243,6 +247,7 @@ class TestRegistrableDomain:
             ("https://EXample.COM./", "example.com"),
             ("example.com/path", "example.com"),
             ("localhost", "localhost"),
+            ("http://[::1", ""),
         ],
     )
     def test_cases(self, url, expected):
@@ -256,7 +261,7 @@ class TestSearchGateway:
     def test_returns_snippets_and_spend(self):
         gateway = SearchGateway(ReplayBackend(matching_records(3)))
         snippets, spent = gateway.search(self.query(), k=10)
-        assert [s.rank for s in snippets] == [1, 2, 3]
+        assert snippets == matching_records(3)
         assert spent == 1
         assert gateway.ledger.used_requests == 1
 
@@ -325,9 +330,9 @@ class TestSearchPooled:
         pooled = gateway.search_pooled(
             [entity_query("Bo Quist"), entity_query("Ada Veil")], k=10
         )
-        assert [(s.text, s.rank) for s in pooled] == [
-            ("Bo Quist meets Ada Veil", 1),
-            ("Ada Veil and Bo Quist", 2),
+        assert [s.text for s in pooled] == [
+            "Bo Quist meets Ada Veil",
+            "Ada Veil and Bo Quist",
         ]
 
     def test_queries_consumed_lazily(self):
@@ -443,6 +448,33 @@ class TestRetries:
         assert len(calls) == gateway.retries == 3
         assert sleeps == [1.0, 2.0]
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            [],
+            "page",
+            {"webPages": "x"},
+            {"webPages": {"value": {"url": "https://a.example/"}}},
+            {"webPages": {"value": ["https://a.example/"]}},
+            {"webPages": {"value": [{"url": 5, "snippet": "Ada Veil"}]}},
+            {"webPages": {"value": [{"url": "https://a.example/", "snippet": None}]}},
+        ],
+    )
+    def test_malformed_page_is_charged_and_retried(self, body):
+        calls = []
+
+        def transport(url, params, headers):
+            calls.append(params)
+            return 200, body
+
+        gateway = SearchGateway(LiveBackend("k", transport=transport), sleep=lambda _s: None)
+        with pytest.raises(TransportError, match="malformed") as excinfo:
+            gateway.search(connectivity_query("Ada Veil", "and"), k=5)
+        assert not isinstance(excinfo.value, FatalTransportError)
+        assert len(calls) == 3
+        assert gateway.ledger.used_requests == 3
+        assert gateway.ledger.log[-1].retries == 3
+
     def test_retries_validated(self):
         with pytest.raises(ValueError, match="retries"):
             SearchGateway(ReplayBackend([]), retries=0)
@@ -517,7 +549,7 @@ class TestSnippetCache:
         query = connectivity_query("Ada Veil", "and")
         gateway.search(query, k=10)
         warm, spent = gateway.search(query, k=2)
-        assert [s.rank for s in warm] == [1, 2]
+        assert warm == matching_records(5)[:2]
         assert spent == 0
 
     def test_key_normalization_shares_entries(self, tmp_path):
@@ -629,6 +661,11 @@ class TestLiveBackend:
         backend = LiveBackend("k", transport=lambda u, p, h: (200, {}))
         assert backend.fetch("q", 0, 50) == []
 
+    def test_unparsable_url_has_no_domain(self):
+        page = fake_page([{"url": "http://[::1", "snippet": "Ada Veil"}])
+        backend = LiveBackend("k", transport=lambda u, p, h: (200, page))
+        assert backend.fetch("q", 0, 50) == [CorpusRecord("http://[::1", "", "Ada Veil")]
+
     def test_pacing_spaces_out_requests(self):
         ticks = iter([0.0, 0.4, 1.0])
         sleeps = []
@@ -655,3 +692,70 @@ class TestLiveBackend:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError, match="min_delay"):
             LiveBackend("k", min_delay=-1.0)
+
+
+class FakeResponse:
+    def __init__(self, status_code, content):
+        self.status_code = status_code
+        self.content = content
+
+    def json(self):
+        return json.loads(self.content)
+
+
+class TestRequestsTransport:
+    def transport(self, monkeypatch, response):
+        monkeypatch.setattr(requests, "get", lambda *a, **kw: response)
+        return _requests_transport(timeout=1.0)
+
+    def test_json_body_on_200(self, monkeypatch):
+        transport = self.transport(monkeypatch, FakeResponse(200, b'{"webPages": {}}'))
+        assert transport("u", {}, {}) == (200, {"webPages": {}})
+
+    @pytest.mark.parametrize("content", [b"<html>busy</html>", b""])
+    def test_unparsable_200_is_a_transport_error(self, monkeypatch, content):
+        transport = self.transport(monkeypatch, FakeResponse(200, content))
+        with pytest.raises(TransportError, match="not JSON"):
+            transport("u", {}, {})
+
+    def test_error_status_body_is_not_read(self, monkeypatch):
+        transport = self.transport(monkeypatch, FakeResponse(503, b"<html>busy</html>"))
+        assert transport("u", {}, {}) == (503, None)
+
+
+def varied_records(count, distinct):
+    """`count` matching records cycling over `distinct` (url, text) pairs, so
+    later ones repeat earlier ones; the domains are in upper case."""
+    return [
+        CorpusRecord(
+            f"https://s{i % distinct}.example/x",
+            f"S{i % 3}.Example",
+            f"Ada Veil and friend {i % distinct}",
+        )
+        for i in range(count)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+# one deeper than the entry: a miss, fetched afresh
+@example(ks=[10, 11], records=20, distinct=20)
+# across page boundaries, then back down, over repeated records
+@example(ks=[50, 51, 120, 7, 120], records=160, distinct=100)
+@given(
+    ks=st.lists(st.integers(1, 200), min_size=1, max_size=6),
+    records=st.integers(0, 160),
+    distinct=st.integers(1, 160),
+)
+def test_warm_cache_equals_cold(ks, records, distinct):
+    backend = ReplayBackend(varied_records(records, distinct))
+    query = connectivity_query("Ada Veil", "and")
+    with tempfile.TemporaryDirectory() as directory:
+        warm = SearchGateway(backend, cache=SnippetCache(directory))
+        deepest = 0
+        for k in ks:
+            cold, _ = SearchGateway(backend).search(query, k)
+            before = warm.ledger.used_requests
+            snippets, _ = warm.search(query, k)
+            assert snippets == cold
+            assert (warm.ledger.used_requests == before) == (k <= deepest)
+            deepest = max(deepest, k)
