@@ -1,14 +1,12 @@
 """Weighted undirected social graph plus serialization.
 
 Nodes are canonical entity names, edge weights are accumulated co-occurrence
-counts. Backed by networkx.Graph; merge and threshold behavior live here.
+counts. Merge and threshold behavior live here.
 """
 
 from __future__ import annotations
 
 from typing import IO, Iterable, Iterator, Mapping
-
-import networkx as nx
 
 
 class EdgeListError(ValueError):
@@ -16,58 +14,57 @@ class EdgeListError(ValueError):
 
 
 class SocialGraph:
-    """Undirected entity graph with integer edge weights."""
+    """Undirected entity graph with integer edge weights and no self-loops."""
 
     def __init__(self) -> None:
-        self.graph = nx.Graph()
+        self._adj: dict[str, dict[str, int]] = {}
+        self._edge_count = 0
 
     @property
     def node_count(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self._adj)
 
     @property
     def edge_count(self) -> int:
-        return self.graph.number_of_edges()
-
-    def __len__(self) -> int:
-        return self.node_count
+        return self._edge_count
 
     def has_node(self, name: str) -> bool:
-        return self.graph.has_node(name)
+        return name in self._adj
 
     def has_edge(self, a: str, b: str) -> bool:
-        return self.graph.has_edge(a, b)
+        return b in self._adj.get(a, ())
 
     def add_node(self, name: str) -> None:
-        self.graph.add_node(name)
+        self._adj.setdefault(name, {})
 
     def add_edge(self, a: str, b: str, weight: int) -> None:
         """Add weight to the a-b edge, creating it (and the nodes) if absent."""
-        if self.graph.has_edge(a, b):
-            self.graph[a][b]["weight"] += weight
-        else:
-            self.graph.add_edge(a, b, weight=weight)
+        if a == b:
+            raise ValueError(f"self-loop on {a!r}")
+        nbrs_a = self._adj.setdefault(a, {})
+        nbrs_b = self._adj.setdefault(b, {})
+        if b not in nbrs_a:
+            self._edge_count += 1
+        nbrs_a[b] = nbrs_b[a] = nbrs_a.get(b, 0) + weight
 
     def weight(self, a: str, b: str) -> int:
-        if not self.graph.has_edge(a, b):
-            return 0
-        return self.graph[a][b]["weight"]
+        return self._adj.get(a, {}).get(b, 0)
 
     def degree(self, name: str) -> int:
         """Number of neighbors; 0 for unknown nodes."""
-        if not self.graph.has_node(name):
-            return 0
-        return self.graph.degree(name)
+        return len(self._adj.get(name, ()))
 
     def nodes(self) -> Iterator[str]:
-        return iter(self.graph.nodes)
+        return iter(self._adj)
 
     def edges(self) -> Iterator[tuple[str, str, int]]:
-        """Edges as (a, b, weight) with each pair sorted."""
-        for a, b, data in self.graph.edges(data=True):
-            if a > b:
-                a, b = b, a
-            yield a, b, data["weight"]
+        """Edges as (a, b, weight), each pair sorted, in networkx.Graph's order."""
+        seen: set[str] = set()
+        for a, nbrs in self._adj.items():
+            for b, w in nbrs.items():
+                if b not in seen:
+                    yield (a, b, w) if a < b else (b, a, w)
+            seen.add(a)
 
     def merge_evidence(
         self,
@@ -85,17 +82,12 @@ class SocialGraph:
         new_edges: list[tuple[str, str]] = []
         for pair in sorted(evidence):
             count = evidence[pair]
-            a, b = pair
-            if self.graph.has_edge(a, b):
-                self.graph[a][b]["weight"] += count
-                continue
-            if count < tau:
-                continue
-            for name in (a, b):
-                if not self.graph.has_node(name):
-                    new_nodes.append(name)
-            self.graph.add_edge(a, b, weight=count)
-            new_edges.append(pair)
+            if not self.has_edge(*pair):
+                if count < tau:
+                    continue
+                new_nodes.extend(name for name in pair if name not in self._adj)
+                new_edges.append(pair)
+            self.add_edge(*pair, count)
         return new_nodes, new_edges
 
     def top_edges(self, h: int | None = None) -> list[tuple[str, str, int]]:
@@ -132,6 +124,8 @@ def read_edge_list(source: IO[str] | Iterable[str]) -> SocialGraph:
             weight = int(w)
         except ValueError as exc:
             raise EdgeListError(f"line {lineno}: bad weight {w!r}") from exc
+        if weight < 1 or not a or not b or a == b:
+            raise EdgeListError(f"line {lineno}: need two distinct names, weight >= 1")
         graph.add_edge(a, b, weight)
     return graph
 
@@ -142,7 +136,12 @@ def read_edge_list_file(path: str) -> SocialGraph:
 
 
 def write_graphml(graph: SocialGraph, path: str) -> None:
-    nx.write_graphml(graph.graph, path)
+    """GraphML via networkx, installed with the `graphml` extra."""
+    import networkx as nx
+    out = nx.Graph()
+    out.add_nodes_from(graph.nodes())
+    out.add_weighted_edges_from(graph.edges())
+    nx.write_graphml(out, path)
 
 
 def _dot_quote(name: str) -> str:

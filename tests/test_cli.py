@@ -1,5 +1,10 @@
 """End-to-end CLI runs, config resolution, and error-path exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import snipgraph.cli as cli
@@ -147,6 +152,19 @@ class TestMinePatterns:
         assert [r[2:5] for r in rows if r[0] == pair] == [["1", "0", "0"], ["0", "0", "1"]]
         assert f"run.queries.tsv ({len(rows)} queries)" in capsys.readouterr().out
 
+    def test_reruns_write_identical_files(self, mining_workspace):
+        ws = mining_workspace
+        suffixes = (".edges", ".trace.csv", ".summary.txt", ".patterns.txt", ".queries.tsv")
+
+        def run(*extra):
+            assert main(base_args(ws, command="mine-patterns") + list(extra)) == 0
+            return {s: (ws / f"out/run{s}").read_bytes() for s in suffixes}
+
+        assert run() == run()
+        cache = ["--cache-dir", str(ws / "cache")]
+        run(*cache)
+        assert run(*cache) == run(*cache)
+
     def test_rejects_non_mining_mode(self, mining_workspace, capsys):
         args = base_args(mining_workspace, command="mine-patterns") + ["--mode", "bf"]
         assert main(args) == 1
@@ -218,6 +236,16 @@ class TestMakeCorpus:
         names = (tmp_path / "c2.names.txt").read_text().splitlines()
         assert names == sorted([A, B, C])
 
+    @pytest.mark.parametrize("bad", [f"{A}\t{B}\t0", f"{C}\t{C}\t2", f"\t{C}\t1"])
+    def test_edges_file_rejects_malformed_line(self, tmp_path, capsys, bad):
+        edges_path = tmp_path / "truth.edges"
+        edges_path.write_text(f"{B}\t{C}\t3\n{bad}\n", encoding="utf-8")
+        prefix = str(tmp_path / "c3")
+        args = ["make-corpus", "--output-prefix", prefix, "--edges-file", str(edges_path)]
+        assert main(args) == 1
+        assert "error: line 2: need two distinct names" in capsys.readouterr().err
+        assert not (tmp_path / "c3.truth.edges").exists()
+
     def test_bad_pattern_weight(self, tmp_path, capsys):
         args = [
             "make-corpus", "--output-prefix", str(tmp_path / "x"),
@@ -259,6 +287,15 @@ class TestAnalyzeCommand:
             '"entity_a","entity_b","weight"\n'
             f'"{B}","{C}","5"\n'
         )
+
+    @pytest.mark.parametrize("report", ["dist", "top"])
+    def test_rejects_self_loop(self, tmp_path, capsys, report):
+        path = tmp_path / "loop.edges"
+        path.write_text(f"{A}\t{B}\t2\n{A}\t{A}\t3\n", encoding="utf-8")
+        assert main(["analyze", "--graph", str(path), "--report", report]) == 1
+        captured = capsys.readouterr()
+        assert "error: line 2: need two distinct names" in captured.err
+        assert captured.out == ""
 
     def test_missing_graph(self, tmp_path, capsys):
         assert main(["analyze", "--graph", str(tmp_path / "nope.edges")]) == 1
@@ -436,3 +473,18 @@ class TestParsePatternArgs:
     def test_empty_phrase_rejected(self):
         with pytest.raises(ConfigError, match="empty pattern"):
             _parse_pattern_args(["=2"])
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    """networkx is loaded only by GraphML export, never by the CLI's imports."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, snipgraph.cli; print('networkx' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
