@@ -20,6 +20,7 @@ class CatalogLoadError(ValueError):
 
 _WS_RUN = re.compile(r"\s+")
 _ALNUM_RUN = re.compile(r"[^\W_]+")
+_ALNUM_SPLIT = re.compile(r"([^\W_]+)")
 
 
 def normalize_name(raw: str) -> str:
@@ -77,19 +78,28 @@ def _name_pattern(key: str) -> str:
 
 
 class _NamePlan:
-    """Which names can match an ASCII text, and each name's own matcher.
+    """How to find each catalog name in an ASCII text.
 
-    Every ASCII name with at least one alnum run is filed under its run
-    shared by the fewest names; a text can only contain the name when it
-    contains that run and all the others. Other names are always tried.
+    A plain name, ASCII with every whitespace token a single alnum run, is
+    filed under its token tuple: it matches exactly where that many
+    consecutive alnum runs of the text spell its tokens with only
+    whitespace between them. Every other ASCII name with an alnum run is
+    filed under its run shared by the fewest such names and searched with
+    its own pattern, only in texts that hold all its runs. Names that are
+    not ASCII or have no run are always searched with their own pattern.
     """
 
     def __init__(self, keys: Iterable[str]) -> None:
         self.rank = {key: _name_rank(key) for key in keys}
+        self.plain: dict[tuple[str, ...], str] = {}
         self.runs: dict[str, set[str]] = {}
         self.always: list[str] = []
         names_per_run: dict[str, int] = {}
         for key in self.rank:
+            tokens = tuple(key.split())
+            if key.isascii() and all(tok.isalnum() for tok in tokens):
+                self.plain[tokens] = key
+                continue
             runs = alnum_runs(key) if key.isascii() else set()
             if not runs:
                 self.always.append(key)
@@ -97,18 +107,21 @@ class _NamePlan:
             self.runs[key] = runs
             for run in runs:
                 names_per_run[run] = names_per_run.get(run, 0) + 1
+        self.lengths = {len(tokens) for tokens in self.plain}
         self.filed: dict[str, list[str]] = {}
         for key, runs in self.runs.items():
             anchor = min(runs, key=lambda run: (names_per_run[run], run))
             self.filed.setdefault(anchor, []).append(key)
         self._patterns: dict[str, re.Pattern[str]] = {}
 
-    def candidates(self, text_runs: set[str]) -> list[str]:
+    def candidates(self, words: list[str]) -> list[str]:
         keys = list(self.always)
-        for run in text_runs:
-            for key in self.filed.get(run, ()):
-                if self.runs[key] <= text_runs:
-                    keys.append(key)
+        if self.filed:
+            text_runs = set(words)
+            for run in text_runs:
+                for key in self.filed.get(run, ()):
+                    if self.runs[key] <= text_runs:
+                        keys.append(key)
         return keys
 
     def pattern(self, key: str) -> re.Pattern[str]:
@@ -201,15 +214,18 @@ def find_entity_matches(text: str, catalog: EntityCatalog) -> list[tuple[str, in
     letters or digits).
 
     `catalog.matcher()`, one alternation over every name, defines the result.
-    ASCII text takes a faster route with the same result: only the names
-    whose alnum runs all occur in the text (plus names that are not ASCII or
-    have no run) are searched, each with its own pattern at every start, and
-    the alternation's choice is replayed: leftmost start first, then more
-    tokens, more characters, smaller key. The plan behind it is built on the
-    first ASCII text. Text that is not ASCII stays on the alternation,
-    because re.IGNORECASE folds "İ", "ı", "ſ" and the Kelvin sign onto ASCII
-    letters one character at a time, which no lower() or casefold() run set
-    reproduces.
+    ASCII text takes a faster route with the same result. Plain names (ASCII,
+    every token one alnum run) are found by looking up each run of n
+    consecutive lowercased alnum runs of the text, joined only by
+    whitespace, among the plain names of n tokens. Other names are searched
+    each with its own pattern at every start, and only when their alnum runs
+    all occur in the text (names that are not ASCII or have no run are
+    always searched). The alternation's choice is then replayed: leftmost
+    start first, then more tokens, more characters, smaller key. The plan
+    behind it is built on the first ASCII text. Text that is not ASCII stays
+    on the alternation, because re.IGNORECASE folds "İ", "ı", "ſ" and the
+    Kelvin sign onto ASCII letters one character at a time, which no lower()
+    or casefold() run set reproduces.
     """
     if not catalog.normalized_index:
         return []
@@ -226,17 +242,32 @@ def find_entity_matches(text: str, catalog: EntityCatalog) -> list[tuple[str, in
 
 
 def _replay_alternation(text: str, plan: _NamePlan) -> list[tuple[int, int]]:
-    # best (rank, end) of every start where some candidate name matches
+    # best (rank, end) of every start where some name matches
     best: dict[int, tuple[tuple[int, int, str], int]] = {}
-    for key in plan.candidates(alnum_runs(text)):
-        rank, rx = plan.rank[key], plan.pattern(key)
+
+    def offer(key: str, start: int, end: int) -> None:
+        rank, held = plan.rank[key], best.get(start)
+        if held is None or rank < held[0]:
+            best[start] = (rank, end)
+
+    # gap, run, gap, ..., run, gap: words[i] is parts[2 * i + 1]
+    parts = _ALNUM_SPLIT.split(text.lower())
+    words = parts[1::2]
+    for n in plan.lengths:
+        for i, tokens in enumerate(zip(*(words[k:] for k in range(n)))):
+            key = plan.plain.get(tokens)
+            if key is None:
+                continue
+            first, last = 2 * i + 1, 2 * (i + n) - 1
+            if all(parts[gap].isspace() for gap in range(first + 1, last, 2)):
+                start = len("".join(parts[:first]))
+                offer(key, start, start + len("".join(parts[first : last + 1])))
+    for key in plan.candidates(words):
+        rx = plan.pattern(key)
         m = rx.search(text)
         while m is not None:
-            start = m.start()
-            held = best.get(start)
-            if held is None or rank < held[0]:
-                best[start] = (rank, m.end())
-            m = rx.search(text, start + 1)
+            offer(key, m.start(), m.end())
+            m = rx.search(text, m.start() + 1)
     spans = []
     pos = 0
     for start in sorted(best):
@@ -244,4 +275,3 @@ def _replay_alternation(text: str, plan: _NamePlan) -> list[tuple[int, int]]:
             pos = best[start][1]
             spans.append((start, pos))
     return spans
-

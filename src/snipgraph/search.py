@@ -373,18 +373,23 @@ class ReplayBackend:
 
     Only candidate records are tested against the phrases. When every quoted
     phrase is ASCII and has an alnum run, the candidates are the ASCII
-    records holding the phrases' rarest run, found in an inverted index from
-    run to record, plus every non-ASCII record; otherwise they are the whole
-    corpus. The index is built on the first query that uses it. Non-ASCII
-    records are never ruled out, because re.IGNORECASE lets an ASCII phrase
-    match "İ", "ı", "ſ" or the Kelvin sign in them, which their lowercased
-    runs do not show. The cost of a query thus grows with the records that
-    can match, not with the corpus.
+    records holding every run of every phrase, found by intersecting the
+    posting lists of an inverted index from run to record, shortest first,
+    plus every non-ASCII record; otherwise they are the whole corpus. The
+    index is built on the first query that uses it. Non-ASCII records are
+    never ruled out, because re.IGNORECASE lets an ASCII phrase match "İ",
+    "ı", "ſ" or the Kelvin sign in them, which their lowercased runs do not
+    show. The cost of a query thus grows with the records that can match,
+    not with the corpus.
+
+    Answers are memoised by the set of quoted phrases, since nothing else
+    in a query decides them: `"A" and`, `"A" with` and `"A"` share one scan,
+    as do `"A" "B"` and `"B" "A"`.
     """
 
     def __init__(self, records: Iterable[CorpusRecord]) -> None:
         self.records = list(records)
-        self._memo: dict[str, list[CorpusRecord]] = {}
+        self._memo: dict[tuple[str, ...], list[CorpusRecord]] = {}
         self._postings: dict[str, list[int]] | None = None
         self._non_ascii: list[int] = []
 
@@ -399,28 +404,34 @@ class ReplayBackend:
                     self._postings.setdefault(run, []).append(i)
         return self._postings
 
-    def _candidates(self, phrases: list[str]) -> list[CorpusRecord]:
+    def _candidates(self, phrases: tuple[str, ...]) -> list[CorpusRecord]:
         if not all(term.isascii() for term in phrases):
             return self.records
         runs = set().union(*map(alnum_runs, phrases))
         if not runs:
             return self.records
         postings = self._index()
-        rarest = min((postings.get(run, []) for run in runs), key=len)
-        return [self.records[i] for i in sorted(rarest + self._non_ascii)]
+        lists = sorted((postings.get(run, []) for run in runs), key=len)
+        hits = set(lists[0])
+        for posting in lists[1:]:
+            if not hits:
+                break
+            hits.intersection_update(posting)
+        return [self.records[i] for i in sorted(hits.union(self._non_ascii))]
 
     def _matches(self, raw_query: str) -> list[CorpusRecord]:
-        hit = self._memo.get(raw_query)
+        phrases, _ = parse_query_terms(raw_query)
+        key = tuple(sorted(set(phrases)))
+        hit = self._memo.get(key)
         if hit is not None:
             return hit
-        phrases, _ = parse_query_terms(raw_query)
-        needles = [phrase_regex(term) for term in phrases]
+        needles = [phrase_regex(term) for term in key]
         found = [
             rec
-            for rec in self._candidates(phrases)
+            for rec in self._candidates(key)
             if all(rx.search(rec.text) for rx in needles)
         ]
-        self._memo[raw_query] = found
+        self._memo[key] = found
         return found
 
     def fetch(self, raw_query: str, offset: int, count: int) -> list[CorpusRecord]:

@@ -19,10 +19,13 @@ from conftest import make_catalog
 NAME_PIECES = (
     "Bo", "bo", "Ada", "Veil", "Quist", "Jean-Luc", "O'Brien", "o", "Brien",
     "Strauß", "strauss", "\u0130ris", "\u0131ris", "iris", "\u017fam", "Sam",
-    "Kai", "\u212aai", "x_y", "7", "Bo2", "&",
+    "Kai", "\u212aai", "x_y", "7", "Bo2", "&", "Jr.", "-Bo",
 )
 FILLER = ("and", "with", "sandy", "_", "9", "-", ",", "'", "café", "x")
-SEPARATORS = (" ", "  ", "\t", "\n", " \n\t", "", "-", "_", "'", ", ")
+SEPARATORS = (
+    " ", "  ", "\t", "\n", " \n\t", "\x0b", "\x0c", "\x1c", "\r",
+    "", "-", "_", "'", ", ",
+)
 
 pieces = st.sampled_from(NAME_PIECES)
 words = st.sampled_from(NAME_PIECES + FILLER)
@@ -83,6 +86,8 @@ class TestEntitySpotting:
     @example(first=["Jean-Luc O'Brien"], later=["O"], batch=["_Jean-Luc\tO'Brien 7"])
     @example(first=["Ada Bo", "Bo Bo"], later=[], batch=["Ada Bo Bo Bo"])
     @example(first=["\u0131ris Bo", "Bo Quist"], later=[], batch=["iris Bo Quist"])
+    @example(first=["Bo Quist", "Bo-Quist"], later=[], batch=["Bo\x1cQuist Bo-Quist"])
+    @example(first=["Bo Quist", "Quist Ada"], later=[], batch=["Bo-Quist Ada"])
     def test_equals_alternation_as_the_catalog_grows(self, first, later, batch):
         catalog = make_catalog(first)
         for text in batch:
@@ -117,6 +122,21 @@ class TestReplayIndex:
     @example(
         corpus=["\u212aai", "\u0130ris", "strauß", "\u017fam kai iris"],
         batch=[('"kai" "iris"', 0, 5), ('"sam"', 0, 5), ('"ss"', 0, 5)],
+    )
+    # the names share "bo": its list is the rarest run's, the intersection is smaller
+    @example(
+        corpus=["Ada Bo and Veil Bo", "Ada Bo met Quist", "Veil Bo", "Bo"],
+        batch=[('"Ada Bo" "Veil Bo"', 0, 5)],
+    )
+    # every run of the phrase, but not the phrase
+    @example(corpus=["Quist met Bo", "Bo Quist", "bo, quist"], batch=[('"Bo Quist" and', 0, 5)])
+    # one backend, queries differing only in bare tokens or phrase order
+    @example(
+        corpus=["Ada Bo", "Bo and Ada", "Ada x", "bo ada bo", "Ada Veil"],
+        batch=[
+            ('"Bo" "Ada"', 0, 5), ('"Ada" "Bo"', 1, 5), ('"Ada" "Bo" and', 0, 2),
+            ('"Ada" "Bo" with x', 2, 5), ('"Ada"', 0, 5), ('"Ada" and', 1, 1),
+        ],
     )
     def test_fetch_equals_linear_scan(self, corpus, batch):
         records = [CorpusRecord(f"u{i}", "d", text) for i, text in enumerate(corpus)]

@@ -235,6 +235,19 @@ class TestReplayBackend:
         backend = ReplayBackend(records)
         assert backend.fetch('"Ada Veil" "Bo Quist"', 0, 50) == records[:1]
 
+    def test_queries_with_the_same_phrases_share_one_scan(self):
+        records = matching_records(3) + [CorpusRecord("u", "d", "Bo Quist met Ada Veil")]
+        backend = ReplayBackend(records)
+        scans = []
+        scan = backend._candidates
+        backend._candidates = lambda phrases: scans.append(phrases) or scan(phrases)
+        first = backend.fetch('"Ada Veil" and', 0, 50)
+        assert backend.fetch('"Ada Veil" with', 0, 50) == first
+        assert len(scans) == 1
+        pair = backend.fetch('"Bo Quist" "Ada Veil"', 0, 50)
+        assert backend.fetch('"Ada Veil" "Bo Quist"', 0, 50) == pair == records[3:]
+        assert len(scans) == 2
+
 
 class TestRegistrableDomain:
     @pytest.mark.parametrize(
