@@ -20,7 +20,6 @@ class CatalogLoadError(ValueError):
 
 _WS_RUN = re.compile(r"\s+")
 _ALNUM_RUN = re.compile(r"[^\W_]+")
-_ALNUM_SPLIT = re.compile(r"([^\W_]+)")
 
 
 def normalize_name(raw: str) -> str:
@@ -85,8 +84,10 @@ class _NamePlan:
     consecutive alnum runs of the text spell its tokens with only
     whitespace between them. Every other ASCII name with an alnum run is
     filed under its run shared by the fewest such names and searched with
-    its own pattern, only in texts that hold all its runs. Names that are
-    not ASCII or have no run are always searched with their own pattern.
+    its own pattern, only in texts that hold all its runs, so that names
+    like "O'Brien" or "Jr." cost time only in texts that can hold them.
+    Names that are not ASCII or have no run are always searched with their
+    own pattern.
     """
 
     def __init__(self, keys: Iterable[str]) -> None:
@@ -250,18 +251,15 @@ def _replay_alternation(text: str, plan: _NamePlan) -> list[tuple[int, int]]:
         if held is None or rank < held[0]:
             best[start] = (rank, end)
 
-    # gap, run, gap, ..., run, gap: words[i] is parts[2 * i + 1]
-    parts = _ALNUM_SPLIT.split(text.lower())
-    words = parts[1::2]
+    runs = list(_ALNUM_RUN.finditer(text.lower()))
+    words = [run.group() for run in runs]
     for n in plan.lengths:
         for i, tokens in enumerate(zip(*(words[k:] for k in range(n)))):
             key = plan.plain.get(tokens)
-            if key is None:
-                continue
-            first, last = 2 * i + 1, 2 * (i + n) - 1
-            if all(parts[gap].isspace() for gap in range(first + 1, last, 2)):
-                start = len("".join(parts[:first]))
-                offer(key, start, start + len("".join(parts[first : last + 1])))
+            if key is not None and all(
+                text[runs[k].end() : runs[k + 1].start()].isspace() for k in range(i, i + n - 1)
+            ):
+                offer(key, runs[i].start(), runs[i + n - 1].end())
     for key in plan.candidates(words):
         rx = plan.pattern(key)
         m = rx.search(text)

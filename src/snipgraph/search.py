@@ -382,9 +382,8 @@ class ReplayBackend:
     show. The cost of a query thus grows with the records that can match,
     not with the corpus.
 
-    Answers are memoised by the set of quoted phrases, since nothing else
-    in a query decides them: `"A" and`, `"A" with` and `"A"` share one scan,
-    as do `"A" "B"` and `"B" "A"`.
+    Answers are memoised by the quoted phrases, since nothing else in a
+    query decides them: `"A" and`, `"A" with` and `"A"` share one scan.
     """
 
     def __init__(self, records: Iterable[CorpusRecord]) -> None:
@@ -421,7 +420,7 @@ class ReplayBackend:
 
     def _matches(self, raw_query: str) -> list[CorpusRecord]:
         phrases, _ = parse_query_terms(raw_query)
-        key = tuple(sorted(set(phrases)))
+        key = tuple(phrases)
         hit = self._memo.get(key)
         if hit is not None:
             return hit

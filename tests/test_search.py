@@ -244,8 +244,8 @@ class TestReplayBackend:
         first = backend.fetch('"Ada Veil" and', 0, 50)
         assert backend.fetch('"Ada Veil" with', 0, 50) == first
         assert len(scans) == 1
-        pair = backend.fetch('"Bo Quist" "Ada Veil"', 0, 50)
-        assert backend.fetch('"Ada Veil" "Bo Quist"', 0, 50) == pair == records[3:]
+        pair = backend.fetch('"Ada Veil" "Bo Quist" and', 0, 50)
+        assert backend.fetch('"Ada Veil" "Bo Quist" met', 0, 50) == pair == records[3:]
         assert len(scans) == 2
 
 
