@@ -261,7 +261,9 @@ def baseline_pairwise(
     and the pair joins the graph when pair_snippets / min(single_snippets)
     exceeds t (edge weight = pair snippet count). Candidates join the pool,
     so coverage spreads until the pool drains, the request budget runs out,
-    or max_entities entities have been processed.
+    or max_entities entities have been processed. Each distinct snippet text
+    is spotted once per call, through a spotting memo that find_entity_matches
+    fills.
     """
     if not 0 < t < 1:
         raise ValueError("threshold t must satisfy 0 < t < 1")
@@ -285,6 +287,7 @@ def baseline_pairwise(
 
     singles: dict[str, list[CorpusRecord] | None] = {}
     scored: set[tuple[str, str]] = set()
+    spotted: dict[str, list[tuple[str, int, int]]] = {}
     steps: list[StepRecord] = []
     stopped = FRONTIER_EMPTY
     complete = True
@@ -321,7 +324,7 @@ def baseline_pairwise(
                 candidates: list[str] = []
                 seen_candidates: set[str] = set()
                 for snippet in snippets:
-                    for name, _s, _e in find_entity_matches(snippet.text, catalog):
+                    for name, _s, _e in find_entity_matches(snippet.text, catalog, spotted):
                         if name != entity and name not in seen_candidates:
                             seen_candidates.add(name)
                             candidates.append(name)

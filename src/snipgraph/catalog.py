@@ -207,7 +207,11 @@ def load_catalog_file(path: str) -> EntityCatalog:
         return load_catalog(fh)
 
 
-def find_entity_matches(text: str, catalog: EntityCatalog) -> list[tuple[str, int, int]]:
+def find_entity_matches(
+    text: str,
+    catalog: EntityCatalog,
+    memo: dict[str, list[tuple[str, int, int]]] | None = None,
+) -> list[tuple[str, int, int]]:
     """Non-overlapping catalog matches as (canonical_name, char_start, char_end).
 
     Longest match wins at each position, scanning left to right, and
@@ -227,7 +231,17 @@ def find_entity_matches(text: str, catalog: EntityCatalog) -> list[tuple[str, in
     on the alternation, because re.IGNORECASE folds "İ", "ı", "ſ" and the
     Kelvin sign onto ASCII letters one character at a time, which no lower()
     or casefold() run set reproduces.
+
+    `memo`, when given, maps texts already spotted to their result: a text
+    found there is answered from it, and any other text's result is stored
+    in it. It is valid only while the catalog is unchanged, so callers keep
+    one per run. The list returned from or stored in a memo is shared by
+    every later caller with that text and must not be mutated.
     """
+    if memo is not None:
+        hit = memo.get(text)
+        if hit is not None:
+            return hit
     if not catalog.normalized_index:
         return []
     if text.isascii():
@@ -239,6 +253,8 @@ def find_entity_matches(text: str, catalog: EntityCatalog) -> list[tuple[str, in
         canonical = catalog.normalized_index.get(normalize_name(text[start:end]))
         if canonical is not None:
             out.append((canonical, start, end))
+    if memo is not None:
+        memo[text] = out
     return out
 
 

@@ -230,6 +230,8 @@ class _Run:
         self.dead: set[str] = set()
         # answers to the pair queries sent so far, all at depth config.k
         self.pair_answers: dict[str, list[CorpusRecord]] = {}
+        # find_entity_matches results by text; the catalog is fixed for a run
+        self.spotted: dict[str, list[tuple[str, int, int]]] = {}
         self.seeds = canonical_seeds(config.seeds, catalog)
         self.discovered = list(self.seeds)
         for seed in self.seeds:
@@ -271,7 +273,7 @@ class _Run:
                 yield query
 
         pooled = self.gateway.search_pooled(queries(), self.config.k)
-        evidence = extract_edges(pooled, self.catalog, self.match_patterns)
+        evidence = extract_edges(pooled, self.catalog, self.match_patterns, self.spotted)
         new_nodes, new_edges = self.graph.merge_evidence(evidence, self.config.tau)
         self.discovered.extend(new_nodes)
         self.step_count += 1
@@ -370,7 +372,7 @@ def _mine_patterns(run: _Run) -> tuple[int, list[PatternCandidate], list[Pattern
             yield query
 
     pooled = run.gateway.search_pooled(queries(), config.k, run.pair_answers)
-    candidates = extract_pattern_candidates(pooled, run.catalog)
+    candidates = extract_pattern_candidates(pooled, run.catalog, memo=run.spotted)
     known = {p.key for p in run.match_patterns}
     admitted: list[Pattern] = []
     for cand in candidates:

@@ -141,9 +141,9 @@ def save_patterns_file(patterns: Iterable[Pattern], path: str) -> None:
         save_patterns(patterns, fh)
 
 
-def _adjacent_pairs(text: str, catalog: EntityCatalog):
+def _adjacent_pairs(text: str, catalog: EntityCatalog, memo: dict | None):
     """Yield (name_a, name_b, gap_text) for consecutive distinct matches."""
-    matches = find_entity_matches(text, catalog)
+    matches = find_entity_matches(text, catalog, memo)
     for (name1, _s1, e1), (name2, s2, _e2) in zip(matches, matches[1:]):
         if name1 == name2:
             continue
@@ -154,17 +154,20 @@ def extract_edges(
     snippets: Iterable[CorpusRecord],
     catalog: EntityCatalog,
     patterns: Iterable[Pattern],
+    memo: dict | None = None,
 ) -> dict[tuple[str, str], int]:
     """Count pattern-connected entity pairs across a batch of snippets.
 
     Each time adjacent distinct catalog names are separated by a known
     pattern, the sorted pair of canonical names gains one co-occurrence;
-    counts are summed over all snippets in the batch.
+    counts are summed over all snippets in the batch. Snippet texts are
+    spotted through `memo`, the spotting memo of find_entity_matches, so a
+    run that passes its own memo spots each distinct text once.
     """
     keys = {pat.key for pat in patterns}
     counts: dict[tuple[str, str], int] = {}
     for snippet in snippets:
-        for name1, name2, gap in _adjacent_pairs(snippet.text, catalog):
+        for name1, name2, gap in _adjacent_pairs(snippet.text, catalog, memo):
             if pattern_key(gap) not in keys:
                 continue
             pair = (name1, name2) if name1 <= name2 else (name2, name1)
@@ -196,26 +199,26 @@ def extract_pattern_candidates(
     catalog: EntityCatalog,
     max_chars: int = MAX_PATTERN_CHARS,
     max_tokens: int = MAX_PATTERN_TOKENS,
+    memo: dict | None = None,
 ) -> list[PatternCandidate]:
     """Collect phrases seen between adjacent distinct entities.
 
     Per candidate: n counts occurrences, m distinct entity pairs, d distinct
     domains. Phrases over the length caps, and phrases that themselves
     contain a catalog name (a skipped-over entity, not a connector), are
-    discarded. Sorted by descending score, then phrase.
+    discarded. Sorted by descending score, then phrase. Snippet texts and
+    phrases alike are spotted through `memo`, the spotting memo of
+    find_entity_matches, so with a memo each distinct one is spotted once.
     """
     counts: dict[str, int] = {}
     pairs: dict[str, set[tuple[str, str]]] = {}
     domains: dict[str, set[str]] = {}
-    contains_entity: dict[str, bool] = {}
     for snippet in snippets:
-        for name1, name2, gap in _adjacent_pairs(snippet.text, catalog):
+        for name1, name2, gap in _adjacent_pairs(snippet.text, catalog, memo):
             phrase = pattern_key(gap) or SPACE_PATTERN
             if len(phrase) > max_chars or len(phrase.split()) > max_tokens:
                 continue
-            if phrase not in contains_entity:
-                contains_entity[phrase] = bool(find_entity_matches(phrase, catalog))
-            if contains_entity[phrase]:
+            if find_entity_matches(phrase, catalog, memo):
                 continue
             pair = (name1, name2) if name1 <= name2 else (name2, name1)
             counts[phrase] = counts.get(phrase, 0) + 1

@@ -81,13 +81,14 @@ class Frontier:
             return None
         if self.mode == FIFO:
             return self._entries.popleft()
-        best = min(
-            self._entries,
-            key=lambda e: (
-                -compute_priority(e, graph, current_step, self.alpha),
-                e.inserted_at_step,
-                e.name,
+        # removed by position: deque.remove would compare dataclasses
+        i, best = min(
+            enumerate(self._entries),
+            key=lambda ie: (
+                -compute_priority(ie[1], graph, current_step, self.alpha),
+                ie[1].inserted_at_step,
+                ie[1].name,
             ),
         )
-        self._entries.remove(best)
+        del self._entries[i]
         return best

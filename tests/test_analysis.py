@@ -2,8 +2,11 @@
 
 import io
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from snipgraph.analysis import (
     DistributionSummary,
@@ -21,9 +24,17 @@ from snipgraph.analysis import (
     write_mi_csv,
     write_relations_csv,
 )
+from snipgraph.corpus import synthesize
 from snipgraph.graph import SocialGraph
+from snipgraph.search import ReplayBackend, SearchGateway
 
-from conftest import CorpusBuilder, make_catalog
+from conftest import (
+    CorpusBuilder,
+    make_catalog,
+    respell,
+    spotting_log,
+    without_spotting_memo,
+)
 
 A, B, C, D = "Ada Veil", "Bo Quist", "Cy Marsh", "Dee Falk"
 
@@ -350,3 +361,42 @@ class TestBaselinePairwise:
         assert report.requests_used == 1
         assert [s.entity for s in report.steps] == [A, "Duo & Co"]
         assert report.steps[1].snippet_count == 0
+
+
+def run_baseline(records, names):
+    """One baseline run on a fresh gateway and catalog: everything it produced."""
+    gateway = SearchGateway(ReplayBackend(records))
+    graph, report = baseline_pairwise((names[0],), gateway, make_catalog(names))
+    return list(graph.nodes()), list(graph.edges()), report, gateway.ledger
+
+
+class TestBaselineSpottingMemo:
+    @given(seed=st.integers(0, 10_000), n_nodes=st.integers(4, 30), odd=st.booleans())
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_memo_run_equals_spotting_every_text(self, seed, n_nodes, odd):
+        corpus = synthesize(n_nodes=n_nodes, attach=3, noise_ratio=0.5, seed=seed)
+        records, names = respell(corpus) if odd else (corpus.records, corpus.names)
+        got = run_baseline(records, names)
+        with without_spotting_memo():
+            want = run_baseline(records, names)
+        assert got == want
+
+    def test_each_distinct_text_is_spotted_once_per_run(self):
+        corpus = synthesize(n_nodes=30, attach=3, noise_ratio=1.0, seed=5)
+        for _ in range(2):
+            with spotting_log() as (handed, spotted):
+                run_baseline(corpus.records, corpus.names)
+            assert sum(handed.values()) > len(handed)
+            assert spotted == Counter(dict.fromkeys(handed, 1))
+
+    def test_name_added_between_runs_is_found(self):
+        builder = CorpusBuilder()
+        builder.add(f"{A} with Gus Ward tonight")
+        builder.add(f"{A} with Gus Ward again")
+        gateway = builder.gateway()
+        catalog = make_catalog()
+        graph, _ = baseline_pairwise((A,), gateway, catalog)
+        assert not graph.has_node("Gus Ward")
+        catalog.add("Gus Ward")
+        graph, _ = baseline_pairwise((A,), gateway, catalog)
+        assert graph.has_edge(A, "Gus Ward")

@@ -6,6 +6,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from snipgraph.engine import (
     BUDGET,
@@ -30,7 +32,13 @@ from snipgraph.search import (
     TransportError,
 )
 
-from conftest import CorpusBuilder, make_catalog
+from conftest import (
+    CorpusBuilder,
+    make_catalog,
+    respell,
+    spotting_log,
+    without_spotting_memo,
+)
 
 A, B, C, D = "Ada Veil", "Bo Quist", "Cy Marsh", "Dee Falk"
 
@@ -453,3 +461,59 @@ class TestPairQueryMemo:
         assert report.requests_used < o_report.requests_used
         assert pair_fetches and max(pair_fetches) == 1
         assert max(o_pair_fetches) > 1
+
+
+MINED = {"and": 3, "performs beside": 2, "dines with": 1}
+
+
+def run_engine(records, names, mode):
+    """One run on a fresh gateway and catalog: everything it produced."""
+    gateway = SearchGateway(ReplayBackend(records))
+    catalog = make_catalog(names)
+    config = RunConfig(seeds=(names[0],), mode=mode, alpha=0.01)
+    patterns = None
+    if mode == MODE_PATTERN_ITER:
+        graph, report, patterns = expand_with_pattern_mining(config, gateway, catalog)
+    else:
+        graph, report = expand_static(config, gateway, catalog)
+    return list(graph.nodes()), list(graph.edges()), report, patterns, gateway.ledger
+
+
+class TestSpottingMemo:
+    @given(
+        seed=st.integers(0, 10_000),
+        n_nodes=st.integers(4, 36),
+        odd=st.booleans(),
+        mode=st.sampled_from([MODE_BF, MODE_PRIO, MODE_PATTERN_ITER]),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_memo_run_equals_spotting_every_text(self, seed, n_nodes, odd, mode):
+        corpus = synthesize(
+            n_nodes=n_nodes, attach=3, patterns=MINED, noise_ratio=0.5, seed=seed
+        )
+        records, names = respell(corpus) if odd else (corpus.records, corpus.names)
+        got = run_engine(records, names, mode)
+        with without_spotting_memo():
+            want = run_engine(records, names, mode)
+        assert got == want
+
+    @pytest.mark.parametrize("mode", [MODE_BF, MODE_PRIO, MODE_PATTERN_ITER])
+    def test_each_distinct_text_is_spotted_once_per_run(self, mode):
+        corpus = synthesize(n_nodes=30, attach=3, patterns=MINED, noise_ratio=1.0, seed=5)
+        for _ in range(2):
+            with spotting_log() as (handed, spotted):
+                run_engine(corpus.records, corpus.names, mode)
+            # texts repeat within a run, yet each is spotted once
+            assert sum(handed.values()) > len(handed)
+            assert spotted == Counter(dict.fromkeys(handed, 1))
+
+    def test_name_added_between_runs_is_found(self):
+        builder = chain_corpus().pair(C, "Gus Ward", times=2)
+        gateway = builder.gateway()
+        catalog = make_catalog()
+        config = RunConfig(seeds=(A,))
+        graph, _ = expand_static(config, gateway, catalog)
+        assert not graph.has_node("Gus Ward")
+        catalog.add("Gus Ward")
+        graph, _ = expand_static(config, gateway, catalog)
+        assert graph.has_edge(C, "Gus Ward")

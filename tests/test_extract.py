@@ -167,10 +167,10 @@ class TestExtractPatternCandidates:
         # claims the gap phrase itself is a name.
         real = snipgraph.extract.find_entity_matches
 
-        def fake(text, cat):
+        def fake(text, cat, memo=None):
             if text == "alongside":
                 return [("Cy Marsh", 0, len(text))]
-            return real(text, cat)
+            return real(text, cat, memo)
 
         monkeypatch.setattr(snipgraph.extract, "find_entity_matches", fake)
         snippets = [

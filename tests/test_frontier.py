@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snipgraph.frontier import (
     FIFO,
@@ -114,3 +116,51 @@ class TestPriority:
         graph = DegreeStub({"Old": 2, "New": 2})
         # equal scores fall through to insertion step
         assert frontier.pop_next(graph, 9).name == "Old"
+
+
+def reference_pop(entries, graph, current_step, alpha):
+    """The pop before removal by position: min() over the entries, then
+    list.remove of the winner."""
+    best = min(
+        entries,
+        key=lambda e: (
+            -compute_priority(e, graph, current_step, alpha),
+            e.inserted_at_step,
+            e.name,
+        ),
+    )
+    entries.remove(best)
+    return best
+
+
+# push (name, step offset), set a degree (name, degree), or pop
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.sampled_from("ABCD"), st.integers(0, 3)),
+        st.tuples(st.just("degree"), st.sampled_from("ABCD"), st.integers(0, 3)),
+        st.tuples(st.just("pop"), st.none(), st.integers(0, 2)),
+    ),
+    max_size=40,
+)
+
+
+@given(ops=operations, alpha=st.sampled_from([0.0, 0.01, 0.5, 3.0]))
+@settings(max_examples=400, deadline=None)
+def test_priority_pop_order_equals_min_and_remove(ops, alpha):
+    frontier = Frontier(PRIORITY, alpha)
+    entries = []
+    graph = DegreeStub({})
+    step = 0
+    for op, name, value in ops:
+        if op == "push":
+            frontier.push(name, step + value)
+            entries.append(FrontierEntry(name, step + value))
+        elif op == "degree":
+            graph.degrees[name] = value
+        else:
+            step += value
+            want = reference_pop(entries, graph, step, alpha) if entries else None
+            assert frontier.pop_next(graph, step) == want
+    while entries:
+        assert frontier.pop_next(graph, step) == reference_pop(entries, graph, step, alpha)
+    assert frontier.pop_next(graph, step) is None
