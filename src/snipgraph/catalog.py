@@ -47,8 +47,8 @@ def alnum_runs(text: str) -> set[str]:
 
 
 @lru_cache(maxsize=4096)
-def phrase_regex(phrase: str, ignore_case: bool = True) -> re.Pattern[str]:
-    """Compile a token-bounded matcher for a phrase.
+def phrase_regex(phrase: str) -> re.Pattern[str]:
+    """Compile a token-bounded, case-insensitive matcher for a phrase.
 
     Internal spaces match any whitespace run. Boundary guards ([^\\W_] = letters
     and digits) are applied only where the phrase edge is itself alphanumeric,
@@ -62,8 +62,7 @@ def phrase_regex(phrase: str, ignore_case: bool = True) -> re.Pattern[str]:
         body = r"(?<![^\W_])" + body
     if edges and edges[-1].isalnum():
         body = body + r"(?![^\W_])"
-    flags = re.IGNORECASE if ignore_case else 0
-    return re.compile(body, flags)
+    return re.compile(body, re.IGNORECASE)
 
 
 def _name_rank(key: str) -> tuple[int, int, str]:
@@ -79,57 +78,29 @@ def _name_pattern(key: str) -> str:
 class _NamePlan:
     """How to find each catalog name in an ASCII text.
 
-    A plain name, ASCII with every whitespace token a single alnum run, is
-    filed under its token tuple: it matches exactly where that many
-    consecutive alnum runs of the text spell its tokens with only
-    whitespace between them. Every other ASCII name with an alnum run is
-    filed under its run shared by the fewest such names and searched with
-    its own pattern, only in texts that hold all its runs, so that names
-    like "O'Brien" or "Jr." cost time only in texts that can hold them.
-    Names that are not ASCII or have no run are always searched with their
-    own pattern.
+    An ASCII name whose first and last whitespace tokens each hold an alnum
+    run is a fixed sequence of runs. It is filed under that run tuple with
+    its lead (the text before the first run, as "-" in "-Bo"), its body
+    (from the first run to the last, separators included) and its trail
+    (the text after the last run, as "." in "Jr."). One tuple can file
+    several names ("Bo Quist", "Bo-Quist"). Every other name, one that is
+    not ASCII or whose first or last token holds no run ("& Bo"), is always
+    searched with its own pattern.
     """
 
     def __init__(self, keys: Iterable[str]) -> None:
         self.rank = {key: _name_rank(key) for key in keys}
-        self.plain: dict[tuple[str, ...], str] = {}
-        self.runs: dict[str, set[str]] = {}
-        self.always: list[str] = []
-        names_per_run: dict[str, int] = {}
+        self.by_runs: dict[tuple[str, ...], list[tuple[str, str, str, str]]] = {}
+        self.always: list[tuple[str, re.Pattern[str]]] = []
         for key in self.rank:
-            tokens = tuple(key.split())
-            if key.isascii() and all(tok.isalnum() for tok in tokens):
-                self.plain[tokens] = key
+            parts = re.split(r"([^\W_]+)", key)
+            if not key.isascii() or len(parts) == 1 or " " in parts[0] + parts[-1]:
+                self.always.append((key, re.compile(_name_pattern(key), re.IGNORECASE)))
                 continue
-            runs = alnum_runs(key) if key.isascii() else set()
-            if not runs:
-                self.always.append(key)
-                continue
-            self.runs[key] = runs
-            for run in runs:
-                names_per_run[run] = names_per_run.get(run, 0) + 1
-        self.lengths = {len(tokens) for tokens in self.plain}
-        self.filed: dict[str, list[str]] = {}
-        for key, runs in self.runs.items():
-            anchor = min(runs, key=lambda run: (names_per_run[run], run))
-            self.filed.setdefault(anchor, []).append(key)
-        self._patterns: dict[str, re.Pattern[str]] = {}
-
-    def candidates(self, words: list[str]) -> list[str]:
-        keys = list(self.always)
-        if self.filed:
-            text_runs = set(words)
-            for run in text_runs:
-                for key in self.filed.get(run, ()):
-                    if self.runs[key] <= text_runs:
-                        keys.append(key)
-        return keys
-
-    def pattern(self, key: str) -> re.Pattern[str]:
-        rx = self._patterns.get(key)
-        if rx is None:
-            rx = self._patterns[key] = re.compile(_name_pattern(key), re.IGNORECASE)
-        return rx
+            lead, trail = parts[0], parts[-1]
+            entry = (key, lead, key[len(lead) : len(key) - len(trail)], trail)
+            self.by_runs.setdefault(tuple(parts[1::2]), []).append(entry)
+        self.lengths = {len(runs) for runs in self.by_runs}
 
 
 @dataclass
@@ -141,8 +112,6 @@ class EntityCatalog:
     """
 
     normalized_index: dict[str, str] = field(default_factory=dict)
-    loaded: int = 0
-    skipped: int = 0
     _matcher: re.Pattern[str] | None = field(default=None, repr=False, compare=False)
     _plan: _NamePlan | None = field(default=None, repr=False, compare=False)
 
@@ -176,7 +145,7 @@ class EntityCatalog:
         return self._matcher
 
     def _name_plan(self) -> _NamePlan:
-        """Prefilter and per-name matchers for ASCII text, built on first use."""
+        """Run-tuple lookup and per-name matchers for ASCII text, built on first use."""
         if self._plan is None:
             self._plan = _NamePlan(self.normalized_index)
         return self._plan
@@ -185,16 +154,12 @@ class EntityCatalog:
 def load_catalog(source: IO[str] | Iterable[str]) -> EntityCatalog:
     """Load one name per line; blanks and normalized duplicates are skipped.
 
-    The counts of loaded and skipped lines are reported on the returned
-    catalog. Undecodable input raises CatalogLoadError naming the byte offset.
+    Undecodable input raises CatalogLoadError naming the byte offset.
     """
     catalog = EntityCatalog()
     try:
         for line in source:
-            if catalog.add(line):
-                catalog.loaded += 1
-            else:
-                catalog.skipped += 1
+            catalog.add(line)
     except UnicodeDecodeError as exc:
         raise CatalogLoadError(
             f"invalid UTF-8 in catalog input at byte {exc.start}"
@@ -219,18 +184,19 @@ def find_entity_matches(
     letters or digits).
 
     `catalog.matcher()`, one alternation over every name, defines the result.
-    ASCII text takes a faster route with the same result. Plain names (ASCII,
-    every token one alnum run) are found by looking up each run of n
-    consecutive lowercased alnum runs of the text, joined only by
-    whitespace, among the plain names of n tokens. Other names are searched
-    each with its own pattern at every start, and only when their alnum runs
-    all occur in the text (names that are not ASCII or have no run are
-    always searched). The alternation's choice is then replayed: leftmost
-    start first, then more tokens, more characters, smaller key. The plan
-    behind it is built on the first ASCII text. Text that is not ASCII stays
-    on the alternation, because re.IGNORECASE folds "İ", "ı", "ſ" and the
-    Kelvin sign onto ASCII letters one character at a time, which no lower()
-    or casefold() run set reproduces.
+    ASCII text takes a faster route with the same result. An ASCII name whose
+    first and last tokens each hold an alnum run is found by looking up each
+    n consecutive lowercased alnum runs of the text among the names of n
+    runs. The text from the first of those runs to the last, whitespace
+    collapsed, must then equal the name's body, and the text around them
+    must hold its lead and trail. Other names (not ASCII, or with a
+    first or last token that holds no run) are searched each with its own
+    pattern at every start. The alternation's choice is then replayed:
+    leftmost start first, then more tokens, more characters, smaller key.
+    The plan behind it is built on the first ASCII text. Text that is not
+    ASCII stays on the alternation, because re.IGNORECASE folds "İ", "ı", "ſ"
+    and the Kelvin sign onto ASCII letters one character at a time, which no
+    lower() or casefold() run set reproduces.
 
     `memo`, when given, maps texts already spotted to their result: a text
     found there is answered from it, and any other text's result is stored
@@ -267,17 +233,31 @@ def _replay_alternation(text: str, plan: _NamePlan) -> list[tuple[int, int]]:
         if held is None or rank < held[0]:
             best[start] = (rank, end)
 
-    runs = list(_ALNUM_RUN.finditer(text.lower()))
+    low = text.lower()
+    runs = list(_ALNUM_RUN.finditer(low))
     words = [run.group() for run in runs]
     for n in plan.lengths:
         for i, tokens in enumerate(zip(*(words[k:] for k in range(n)))):
-            key = plan.plain.get(tokens)
-            if key is not None and all(
-                text[runs[k].end() : runs[k + 1].start()].isspace() for k in range(i, i + n - 1)
-            ):
-                offer(key, runs[i].start(), runs[i + n - 1].end())
-    for key in plan.candidates(words):
-        rx = plan.pattern(key)
+            filed = plan.by_runs.get(tokens)
+            if filed is None:
+                continue
+            start, end = runs[i].start(), runs[i + n - 1].end()
+            found = " ".join(low[start:end].split())
+            for key, lead, body, trail in filed:
+                if body != found:
+                    continue
+                # lead and trail reach no letter or digit beyond them
+                if lead:
+                    before = text[runs[i - 1].end() if i else 0 : start]
+                    if not before.endswith(lead) or (i and len(before) == len(lead)):
+                        continue
+                if trail:
+                    more = i + n < len(runs)
+                    after = text[end : runs[i + n].start() if more else len(text)]
+                    if not after.startswith(trail) or (more and len(after) == len(trail)):
+                        continue
+                offer(key, start - len(lead), end + len(trail))
+    for key, rx in plan.always:
         m = rx.search(text)
         while m is not None:
             offer(key, m.start(), m.end())

@@ -354,12 +354,9 @@ class SearchBackend(Protocol):
 _QUOTED_PHRASE = re.compile(r'"([^"]*)"')
 
 
-def parse_query_terms(raw: str) -> tuple[list[str], list[str]]:
-    """Split a raw query into quoted phrases and bare tokens."""
-    phrases = [p for p in _QUOTED_PHRASE.findall(raw) if p.strip()]
-    rest = _QUOTED_PHRASE.sub(" ", raw)
-    tokens = rest.split()
-    return phrases, tokens
+def parse_query_terms(raw: str) -> list[str]:
+    """The non-blank quoted phrases of a raw query, in order."""
+    return [p for p in _QUOTED_PHRASE.findall(raw) if p.strip()]
 
 
 class ReplayBackend:
@@ -419,8 +416,7 @@ class ReplayBackend:
         return [self.records[i] for i in sorted(hits.union(self._non_ascii))]
 
     def _matches(self, raw_query: str) -> list[CorpusRecord]:
-        phrases, _ = parse_query_terms(raw_query)
-        key = tuple(phrases)
+        key = tuple(parse_query_terms(raw_query))
         hit = self._memo.get(key)
         if hit is not None:
             return hit

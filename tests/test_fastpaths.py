@@ -19,7 +19,7 @@ from conftest import make_catalog
 NAME_PIECES = (
     "Bo", "bo", "Ada", "Veil", "Quist", "Jean-Luc", "O'Brien", "o", "Brien",
     "Strauß", "strauss", "\u0130ris", "\u0131ris", "iris", "\u017fam", "Sam",
-    "Kai", "\u212aai", "x_y", "7", "Bo2", "&", "Jr.", "-Bo",
+    "Kai", "\u212aai", "x_y", "7", "Bo2", "&", "Jr.", "-Bo", "(Bo)",
 )
 FILLER = ("and", "with", "sandy", "_", "9", "-", ",", "'", "café", "x")
 SEPARATORS = (
@@ -67,8 +67,7 @@ def alternation_matches(text, catalog):
 
 def linear_fetch(records, raw_query, offset, count):
     """The reference replay: every record against every quoted phrase."""
-    phrases, _ = parse_query_terms(raw_query)
-    needles = [phrase_regex(term) for term in phrases]
+    needles = [phrase_regex(term) for term in parse_query_terms(raw_query)]
     found = [rec for rec in records if all(rx.search(rec.text) for rx in needles)]
     return found[offset : offset + count]
 
@@ -88,6 +87,12 @@ class TestEntitySpotting:
     @example(first=["\u0131ris Bo", "Bo Quist"], later=[], batch=["iris Bo Quist"])
     @example(first=["Bo Quist", "Bo-Quist"], later=[], batch=["Bo\x1cQuist Bo-Quist"])
     @example(first=["Bo Quist", "Quist Ada"], later=[], batch=["Bo-Quist Ada"])
+    # where a second name is listed, a wrong span would block its real match
+    @example(first=["Kai Jr."], later=[], batch=["Kai Jr.x Kai Jr. x"])
+    @example(first=["Kai Jr.", "Jr"], later=[], batch=["Kai Jr, x", "Kai Jr."])
+    @example(first=["-Bo", "Bo"], later=[], batch=["x +Bo", "x-Bo", "-Bo x"])
+    @example(first=["& Bo"], later=[], batch=["x &\t Bo"])
+    @example(first=["Bo - Quist", "Quist"], later=[], batch=["Bo-Quist", "Bo -\tQuist"])
     def test_equals_alternation_as_the_catalog_grows(self, first, later, batch):
         catalog = make_catalog(first)
         for text in batch:

@@ -94,9 +94,8 @@ def test_requests_for():
 
 
 def test_parse_query_terms():
-    phrases, tokens = parse_query_terms('"Ada Veil" and "Bo Quist" near  "" x')
+    phrases = parse_query_terms('"Ada Veil" and "Bo Quist" near  "" x')
     assert phrases == ["Ada Veil", "Bo Quist"]
-    assert tokens == ["and", "near", "x"]
 
 
 class TestCorpusTsv:
