@@ -11,22 +11,14 @@ import csv
 import math
 import re
 import statistics
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Sequence
 
 from .catalog import EntityCatalog, find_entity_matches
-from .engine import (
-    BUDGET,
-    FRONTIER_EMPTY,
-    TRANSPORT,
-    RunReport,
-    StepRecord,
-    canonical_seeds,
-)
+from .engine import BUDGET, FRONTIER_EMPTY, TRANSPORT, Run, RunReport
 from .graph import SocialGraph
 from .search import (
-    BudgetLedger,
     CorpusRecord,
     QueryError,
     SearchGateway,
@@ -276,22 +268,13 @@ def baseline_pairwise(
     if not seeds:
         raise ValueError("at least one seed entity is required")
 
-    ledger = BudgetLedger(max_requests)
-    gateway.ledger = ledger
-    graph = SocialGraph()
-    resolved = canonical_seeds(seeds, catalog)
-    pool = deque(resolved)
-    pooled = set(resolved)
-    for seed in resolved:
-        graph.add_node(seed)
-
+    run = Run(seeds, gateway, catalog, max_requests)
+    pool = list(run.seeds)
+    pooled = set(pool)
     singles: dict[str, list[CorpusRecord] | None] = {}
     scored: set[tuple[str, str]] = set()
-    spotted: dict[str, list[tuple[str, int, int]]] = {}
-    steps: list[StepRecord] = []
     stopped = FRONTIER_EMPTY
     complete = True
-    processed = 0
 
     def fetch_single(name: str) -> list[CorpusRecord] | None:
         """Snippets for `"name"` alone; None when the name is unqueryable."""
@@ -307,81 +290,54 @@ def baseline_pairwise(
         return snippets
 
     try:
-        while pool:
-            if ledger.exhausted:
+        # the pool grows while it is walked: candidates join at its end
+        for entity in pool:
+            if run.ledger.exhausted:
                 stopped = BUDGET
                 break
-            if max_entities is not None and processed >= max_entities:
+            if max_entities is not None and len(run.steps) >= max_entities:
                 stopped = "entity-limit"
                 break
-            entity = pool.popleft()
-            snippets = fetch_single(entity)
-            processed += 1
+            snippets = fetch_single(entity) or []
             new_nodes: list[str] = []
             new_edges: list[tuple[str, str]] = []
             budget_hit = False
-            if snippets:
-                candidates: list[str] = []
-                seen_candidates: set[str] = set()
-                for snippet in snippets:
-                    for name, _s, _e in find_entity_matches(snippet.text, catalog, spotted):
-                        if name != entity and name not in seen_candidates:
-                            seen_candidates.add(name)
-                            candidates.append(name)
-                for candidate in candidates:
-                    if candidate not in pooled:
-                        pooled.add(candidate)
-                        pool.append(candidate)
-                    pair = tuple(sorted((entity, candidate)))
-                    if pair in scored:
-                        continue
-                    if ledger.exhausted:
-                        budget_hit = True
-                        break
-                    other = fetch_single(candidate)
-                    if other is None:
-                        scored.add(pair)
-                        continue
-                    if ledger.exhausted:
-                        budget_hit = True
-                        break
-                    scored.add(pair)
-                    pair_snips, _ = gateway.search(pair_query(pair[0], pair[1]), k)
-                    score = overlap_coefficient(
-                        len(pair_snips), len(snippets), len(other)
-                    )
-                    if score > t:
-                        for name in pair:
-                            if not graph.has_node(name):
-                                new_nodes.append(name)
-                        graph.add_edge(pair[0], pair[1], len(pair_snips))
-                        new_edges.append(pair)
-            steps.append(
-                StepRecord(
-                    step=processed,
-                    entity=entity,
-                    snippet_count=len(snippets or []),
-                    new_nodes=new_nodes,
-                    new_edges=new_edges,
-                    node_count=graph.node_count,
-                    edge_count=graph.edge_count,
-                    requests_used=ledger.used_requests,
-                )
+            candidates = dict.fromkeys(
+                name
+                for snippet in snippets
+                for name, _s, _e in find_entity_matches(snippet.text, catalog, run.spotted)
+                if name != entity
             )
+            for candidate in candidates:
+                if candidate not in pooled:
+                    pooled.add(candidate)
+                    pool.append(candidate)
+                pair = tuple(sorted((entity, candidate)))
+                if pair in scored:
+                    continue
+                if run.ledger.exhausted:
+                    budget_hit = True
+                    break
+                other = fetch_single(candidate)
+                if other is None:
+                    scored.add(pair)
+                    continue
+                if run.ledger.exhausted:
+                    budget_hit = True
+                    break
+                scored.add(pair)
+                pair_snips, _ = gateway.search(pair_query(pair[0], pair[1]), k)
+                score = overlap_coefficient(len(pair_snips), len(snippets), len(other))
+                if score > t:
+                    for name in pair:
+                        if not run.graph.has_node(name):
+                            new_nodes.append(name)
+                    run.graph.add_edge(pair[0], pair[1], len(pair_snips))
+                    new_edges.append(pair)
+            run.record_step(entity, len(snippets), new_nodes, new_edges)
             if budget_hit:
                 stopped = BUDGET
                 break
     except TransportError:
         stopped, complete = TRANSPORT, False
-
-    report = RunReport(
-        seeds=resolved,
-        steps=steps,
-        nodes_found=graph.node_count,
-        edges_found=graph.edge_count,
-        requests_used=ledger.used_requests,
-        queries_issued=ledger.queries_issued,
-        complete=complete,
-        stopped_reason=stopped,
-    )
-    return graph, report
+    return run.graph, run.report(stopped, complete)

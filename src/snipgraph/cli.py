@@ -14,6 +14,7 @@ still written.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -50,17 +51,19 @@ from .graph import SocialGraph, read_edge_list_file, write_edge_list
 from .search import (
     LiveBackend,
     QueryLogEntry,
+    ReplayBackend,
     SearchGateway,
     SnippetCache,
     TransportError,
-    replay_backend_from_corpus,
+    load_corpus_file,
     save_corpus_file,
     write_query_log,
 )
 
 API_KEY_ENV = "SEARCH_API_KEY"
 
-# config file keys; flags mirror them in kebab case
+# config file keys. A flag is its key in kebab case, except that the four
+# file keys drop "_file": --seeds, --catalog, --patterns, --match-patterns.
 KNOWN_KEYS = frozenset(
     {
         "seeds_file",
@@ -207,7 +210,7 @@ def _build_gateway(settings: Settings, live_ok: bool) -> SearchGateway:
     if backend_name == "replay":
         corpus = _require(settings.get("corpus", str), "--corpus")
         try:
-            backend = replay_backend_from_corpus(corpus)
+            backend = ReplayBackend(load_corpus_file(corpus))
         except OSError as exc:
             raise ConfigError(f"cannot read corpus: {exc}") from exc
         return SearchGateway(backend, cache=cache)
@@ -385,8 +388,8 @@ def _parse_pattern_args(values: list[str]) -> dict[str, float]:
         phrase = _unescape_pattern(phrase)
         if not phrase:
             raise ConfigError(f"empty pattern in {value!r}")
-        if weight <= 0:
-            raise ConfigError(f"pattern weight must be > 0 in {value!r}")
+        if not 0 < weight < math.inf:
+            raise ConfigError(f"pattern weight must be > 0 and finite in {value!r}")
         weighted[phrase] = weighted.get(phrase, 0.0) + weight
     return weighted
 

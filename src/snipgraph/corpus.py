@@ -9,6 +9,7 @@ any snippet are the planted ones.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -24,8 +25,8 @@ def _pattern_chooser(patterns: PatternSpec, rng: random.Random):
     if isinstance(patterns, Mapping):
         phrases = list(patterns)
         weights = [patterns[p] for p in phrases]
-        if any(w <= 0 for w in weights):
-            raise ValueError("pattern weights must be > 0")
+        if not all(0 < w < math.inf for w in weights) or sum(weights) == math.inf:
+            raise ValueError("pattern weights must be > 0 and finite, as must their sum")
     else:
         phrases = list(patterns)
         weights = None
@@ -88,8 +89,8 @@ def pa_edge_list(
         raise ValueError("need at least 2 nodes")
     if attach < 1:
         raise ValueError("attach must be >= 1")
-    if exponent < 0:
-        raise ValueError("exponent must be >= 0")
+    if not 0 <= exponent < math.inf:
+        raise ValueError("exponent must be >= 0 and finite")
     edges: set[tuple[int, int]] = {(0, 1)}
     degree = [1, 1]
     for v in range(2, n_nodes):
@@ -141,8 +142,8 @@ def synthesize_from_edges(
     each snippet uses. noise_ratio adds that many name-free snippets per
     planted one. Record order is shuffled deterministically by `seed`.
     """
-    if noise_ratio < 0:
-        raise ValueError("noise_ratio must be >= 0")
+    if not 0 <= noise_ratio < math.inf:
+        raise ValueError("noise_ratio must be >= 0 and finite")
     if not 1 <= domains <= len(DOMAIN_POOL):
         raise ValueError(f"domains must be between 1 and {len(DOMAIN_POOL)}")
     rng = random.Random(seed)

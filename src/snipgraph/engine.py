@@ -19,6 +19,7 @@ iterations thus only spend requests on what the new patterns unlock.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
@@ -94,8 +95,8 @@ class RunConfig:
             raise ValueError("tau must be >= 1")
         if self.sigma < 1:
             raise ValueError("sigma must be >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be >= 0 and finite")
         if self.h < 1:
             raise ValueError("h must be >= 1")
         if self.k < 1:
@@ -199,8 +200,66 @@ def canonical_seeds(seeds: Iterable[str], catalog: EntityCatalog) -> list[str]:
     return resolved
 
 
-class _Run:
-    """Shared state for one engine run."""
+class Run:
+    """What every graph-growing run shares: a fresh request ledger installed
+    in the gateway, a graph seeded with the canonical seeds, the spotting
+    memo, and one StepRecord per expanded entity."""
+
+    def __init__(
+        self,
+        seeds: Iterable[str],
+        gateway: SearchGateway,
+        catalog: EntityCatalog,
+        max_requests: int | None,
+    ) -> None:
+        self.gateway = gateway
+        self.catalog = catalog
+        self.ledger = BudgetLedger(max_requests)
+        gateway.ledger = self.ledger
+        self.graph = SocialGraph()
+        self.seeds = canonical_seeds(seeds, catalog)
+        for seed in self.seeds:
+            self.graph.add_node(seed)
+        # find_entity_matches results by text; the catalog is fixed for a run
+        self.spotted: dict[str, list[tuple[str, int, int]]] = {}
+        self.steps: list[StepRecord] = []
+
+    def record_step(
+        self,
+        entity: str,
+        snippet_count: int,
+        new_nodes: list[str],
+        new_edges: list[tuple[str, str]],
+    ) -> StepRecord:
+        """Append the step that expanded `entity`, with the totals after it."""
+        record = StepRecord(
+            step=len(self.steps) + 1,
+            entity=entity,
+            snippet_count=snippet_count,
+            new_nodes=new_nodes,
+            new_edges=new_edges,
+            node_count=self.graph.node_count,
+            edge_count=self.graph.edge_count,
+            requests_used=self.ledger.used_requests,
+        )
+        self.steps.append(record)
+        return record
+
+    def report(self, stopped_reason: str, complete: bool) -> RunReport:
+        return RunReport(
+            seeds=list(self.seeds),
+            steps=self.steps,
+            nodes_found=self.graph.node_count,
+            edges_found=self.graph.edge_count,
+            requests_used=self.ledger.used_requests,
+            queries_issued=self.ledger.queries_issued,
+            complete=complete,
+            stopped_reason=stopped_reason,
+        )
+
+
+class _Run(Run):
+    """One engine run: the shared scaffold plus its patterns and query state."""
 
     def __init__(
         self,
@@ -209,12 +268,8 @@ class _Run:
         catalog: EntityCatalog,
     ) -> None:
         config.validate()
-        self.gateway = gateway
-        self.catalog = catalog
+        super().__init__(config.seeds, gateway, catalog, config.max_requests)
         self.config = config
-        self.ledger = BudgetLedger(config.max_requests)
-        gateway.ledger = self.ledger
-        self.graph = SocialGraph()
         self.query_patterns = dedupe_patterns(
             Pattern(p, "seed") for p in config.query_patterns
         )
@@ -223,19 +278,11 @@ class _Run:
             Pattern(p, "seed")
             for p in (*config.match_patterns, *config.query_patterns)
         )
-        self.steps: list[StepRecord] = []
         self.iterations: list[IterationRecord] = []
-        self.step_count = 0
         self.queried: set[tuple[str, str]] = set()
         self.dead: set[str] = set()
         # answers to the pair queries sent so far, all at depth config.k
         self.pair_answers: dict[str, list[CorpusRecord]] = {}
-        # find_entity_matches results by text; the catalog is fixed for a run
-        self.spotted: dict[str, list[tuple[str, int, int]]] = {}
-        self.seeds = canonical_seeds(config.seeds, catalog)
-        self.discovered = list(self.seeds)
-        for seed in self.seeds:
-            self.graph.add_node(seed)
 
     def new_frontier(self) -> Frontier:
         mode = PRIORITY if self.config.mode == MODE_PRIO else FIFO
@@ -275,20 +322,7 @@ class _Run:
         pooled = self.gateway.search_pooled(queries(), self.config.k)
         evidence = extract_edges(pooled, self.catalog, self.match_patterns, self.spotted)
         new_nodes, new_edges = self.graph.merge_evidence(evidence, self.config.tau)
-        self.discovered.extend(new_nodes)
-        self.step_count += 1
-        record = StepRecord(
-            step=self.step_count,
-            entity=entity,
-            snippet_count=len(pooled),
-            new_nodes=new_nodes,
-            new_edges=new_edges,
-            node_count=self.graph.node_count,
-            edge_count=self.graph.edge_count,
-            requests_used=self.ledger.used_requests,
-        )
-        self.steps.append(record)
-        return record
+        return self.record_step(entity, len(pooled), new_nodes, new_edges)
 
     def run_frontier(self, frontier: Frontier) -> str | None:
         """Expand until the frontier drains; returns a stop reason or None.
@@ -297,29 +331,21 @@ class _Run:
         the final entity's queries may overshoot the cap.
         """
         while True:
-            entry = frontier.pop_next(self.graph, self.step_count)
+            entry = frontier.pop_next(self.graph, len(self.steps))
             if entry is None:
                 return None
             record = self.expand_entity(entry.name)
             for name in record.new_nodes:
-                frontier.push(name, self.step_count)
+                frontier.push(name, len(self.steps))
             if self.ledger.exhausted:
                 return BUDGET
 
     def report(self, stopped_reason: str, complete: bool) -> RunReport:
-        return RunReport(
-            seeds=list(self.seeds),
-            steps=self.steps,
-            iterations=self.iterations,
-            patterns=list(self.match_patterns),
-            query_patterns=list(self.query_patterns),
-            nodes_found=self.graph.node_count,
-            edges_found=self.graph.edge_count,
-            requests_used=self.ledger.used_requests,
-            queries_issued=self.ledger.queries_issued,
-            complete=complete,
-            stopped_reason=stopped_reason,
-        )
+        report = super().report(stopped_reason, complete)
+        report.iterations = self.iterations
+        report.patterns = list(self.match_patterns)
+        report.query_patterns = list(self.query_patterns)
+        return report
 
 
 def expand_static(
@@ -338,7 +364,7 @@ def expand_static(
     run = _Run(config, gateway, catalog)
     frontier = run.new_frontier()
     for seed in run.seeds:
-        frontier.push(seed, run.step_count)
+        frontier.push(seed, 0)
     try:
         stop = run.run_frontier(frontier)
     except TransportError:
@@ -406,20 +432,15 @@ def expand_with_pattern_mining(
     stopped = MAX_ITER
     complete = True
     for index in range(1, config.max_iterations + 1):
-        frontier = run.new_frontier()
-        for name in run.discovered:
-            if run.has_pending(name):
-                frontier.push(name, run.step_count)
         first_step = len(run.steps)
+        frontier = run.new_frontier()
+        for name in run.graph.nodes():
+            if run.has_pending(name):
+                frontier.push(name, first_step)
         try:
-            stop = run.run_frontier(frontier)
-        except TransportError:
-            stopped, complete = TRANSPORT, False
-            break
-        if stop == BUDGET:
-            stopped = BUDGET
-            break
-        try:
+            if run.run_frontier(frontier) == BUDGET:
+                stopped = BUDGET
+                break
             issued, candidates, admitted = _mine_patterns(run)
         except TransportError:
             stopped, complete = TRANSPORT, False

@@ -197,8 +197,6 @@ class PatternCandidate:
 def extract_pattern_candidates(
     snippets: Iterable[CorpusRecord],
     catalog: EntityCatalog,
-    max_chars: int = MAX_PATTERN_CHARS,
-    max_tokens: int = MAX_PATTERN_TOKENS,
     memo: dict | None = None,
 ) -> list[PatternCandidate]:
     """Collect phrases seen between adjacent distinct entities.
@@ -216,7 +214,7 @@ def extract_pattern_candidates(
     for snippet in snippets:
         for name1, name2, gap in _adjacent_pairs(snippet.text, catalog, memo):
             phrase = pattern_key(gap) or SPACE_PATTERN
-            if len(phrase) > max_chars or len(phrase.split()) > max_tokens:
+            if len(phrase) > MAX_PATTERN_CHARS or len(phrase.split()) > MAX_PATTERN_TOKENS:
                 continue
             if find_entity_matches(phrase, catalog, memo):
                 continue

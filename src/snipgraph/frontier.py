@@ -66,8 +66,8 @@ class Frontier:
     def __post_init__(self) -> None:
         if self.mode not in (FIFO, PRIORITY):
             raise ValueError(f"unknown frontier mode: {self.mode!r}")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be >= 0 and finite")
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -23,6 +23,9 @@ from .catalog import alnum_runs, normalize_name, phrase_regex
 
 PAGE_SIZE = 50
 
+# seconds before the first retry of a failed page; doubled for each later one
+RETRY_DELAY = 1.0
+
 FORBIDDEN_QUERY_CHARS = ("&", ",", "+")
 
 CONNECTIVITY = "connectivity"
@@ -433,10 +436,6 @@ class ReplayBackend:
         return self._matches(raw_query)[offset : offset + count]
 
 
-def replay_backend_from_corpus(path: str) -> ReplayBackend:
-    return ReplayBackend(load_corpus_file(path))
-
-
 DEFAULT_ENDPOINT = "https://api.bing.microsoft.com/v7.0/search"
 
 # (url, params, headers) -> (status, JSON body); the body is read on 200 only
@@ -547,7 +546,6 @@ class SearchGateway:
         ledger: BudgetLedger | None = None,
         cache: SnippetCache | None = None,
         retries: int = 3,
-        backoff: float = 1.0,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if retries < 1:
@@ -556,14 +554,13 @@ class SearchGateway:
         self.ledger = ledger if ledger is not None else BudgetLedger()
         self.cache = cache
         self.retries = retries
-        self.backoff = backoff
         self._sleep = sleep
 
     def _fetch_page(
         self, raw_query: str, offset: int, failures: list[TransportError]
     ) -> list[CorpusRecord]:
         """One result page; each failed attempt is appended to `failures`."""
-        delay = self.backoff
+        delay = RETRY_DELAY
         for attempt in range(1, self.retries + 1):
             try:
                 return self.backend.fetch(raw_query, offset, PAGE_SIZE)

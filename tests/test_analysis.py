@@ -26,7 +26,7 @@ from snipgraph.analysis import (
 )
 from snipgraph.corpus import synthesize
 from snipgraph.graph import SocialGraph
-from snipgraph.search import ReplayBackend, SearchGateway
+from snipgraph.search import ReplayBackend, SearchGateway, requests_for
 
 from conftest import (
     CorpusBuilder,
@@ -361,6 +361,41 @@ class TestBaselinePairwise:
         assert report.requests_used == 1
         assert [s.entity for s in report.steps] == [A, "Duo & Co"]
         assert report.steps[1].snippet_count == 0
+
+
+class TestBaselineStops:
+    @given(
+        seed=st.integers(0, 10_000),
+        n_nodes=st.integers(3, 30),
+        ampersand=st.booleans(),
+        max_requests=st.none() | st.integers(1, 60),
+        max_entities=st.none() | st.integers(1, 12),
+        k=st.sampled_from([20, 50, 200]),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_stops_and_totals(self, seed, n_nodes, ampersand, max_requests, max_entities, k):
+        corpus = synthesize(n_nodes=n_nodes, attach=2, noise_ratio=0.5, seed=seed)
+        records, names = corpus.records, corpus.names
+        if ampersand:
+            # an unqueryable name: the baseline steps over it without a search
+            records, names = respell(corpus, (names[1].replace(" ", " & "),))
+        gateway = SearchGateway(ReplayBackend(records))
+        _graph, report = baseline_pairwise(
+            (names[0],), gateway, make_catalog(names), k=k,
+            max_requests=max_requests, max_entities=max_entities,
+        )
+        steps = report.steps
+        assert [s.step for s in steps] == list(range(1, len(steps) + 1))
+        assert max_entities is None or len(steps) <= max_entities
+        last = steps[-1]
+        assert (last.node_count, last.edge_count, last.requests_used) == (
+            report.nodes_found, report.edges_found, report.requests_used
+        )
+        assert report.requests_used == sum(e.requests for e in gateway.ledger.log)
+        if max_requests is not None:
+            assert report.requests_used <= max_requests + requests_for(k) - 1
+        assert report.stopped_reason in ("budget", "entity-limit", "frontier-empty")
+        assert report.stopped_reason != "budget" or gateway.ledger.exhausted
 
 
 def run_baseline(records, names):

@@ -246,6 +246,32 @@ class TestMakeCorpus:
         assert "error: line 2: need two distinct names" in capsys.readouterr().err
         assert not (tmp_path / "c3.truth.edges").exists()
 
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--noise-ratio", "inf"], "noise_ratio must be >= 0"),
+            (["--noise-ratio", "nan"], "noise_ratio must be >= 0"),
+            (["--exponent", "nan"], "exponent must be >= 0"),
+            (["--exponent", "inf"], "exponent must be >= 0"),
+            (["--pattern", "and=" + "9" * 400], "pattern weight must be > 0"),
+            (
+                ["--pattern", "and=" + "9" * 308, "--pattern", "and=" + "9" * 308],
+                "pattern weights must be > 0",
+            ),
+            (
+                ["--pattern", "and=" + "9" * 308, "--pattern", "y=" + "9" * 308],
+                "pattern weights must be > 0",
+            ),
+        ],
+    )
+    def test_non_finite_input_rejected(self, tmp_path, capsys, flags, message):
+        args = ["make-corpus", "--output-prefix", str(tmp_path / "c" / "x"), *flags]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "c").exists()
+
     def test_bad_pattern_weight(self, tmp_path, capsys):
         args = [
             "make-corpus", "--output-prefix", str(tmp_path / "x"),
@@ -268,9 +294,9 @@ class TestAnalyzeCommand:
         assert "degree: n=3 mean=1.3333 sd=0.4714 median=1" in out
         assert "weight: n=2 mean=4.0000 sd=1.0000 median=4" in out
         base = str(graph_file)[: -len(".edges")]
-        degree_rows = open(base + ".degree_hist.csv").read()
+        degree_rows = Path(base + ".degree_hist.csv").read_text()
         assert degree_rows == '"degree","count"\n"1","2"\n"2","1"\n'
-        weight_rows = open(base + ".weight_hist.csv").read()
+        weight_rows = Path(base + ".weight_hist.csv").read_text()
         assert weight_rows == '"weight","count"\n"3","1"\n"5","1"\n'
 
     def test_top_report(self, graph_file, tmp_path, capsys):
@@ -283,7 +309,7 @@ class TestAnalyzeCommand:
         assert main(args) == 0
         out = capsys.readouterr().out
         assert f"{B} -- {C} (5)" in out
-        assert open(prefix + ".relations.csv").read() == (
+        assert Path(prefix + ".relations.csv").read_text() == (
             '"entity_a","entity_b","weight"\n'
             f'"{B}","{C}","5"\n'
         )
@@ -397,6 +423,15 @@ class TestErrorPaths:
         config.write_text("mode = fast\n", encoding="utf-8")
         assert main(base_args(workspace) + ["--config", str(config)]) == 1
         assert "mode must be bf, prio, or pattern-iter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha_in_config(self, workspace, capsys, alpha):
+        config = workspace / "run.cfg"
+        config.write_text(f"mode = prio\nalpha = {alpha}\n", encoding="utf-8")
+        assert main(base_args(workspace) + ["--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "alpha must be >= 0" in err
+        assert not (workspace / "out").exists()
 
     def test_unknown_flag(self, workspace, capsys):
         assert main(base_args(workspace) + ["--frobnicate"]) == 1

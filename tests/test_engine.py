@@ -85,6 +85,9 @@ class TestRunConfig:
             (dict(max_requests=0), "max_requests must be >= 1"),
             (dict(max_iterations=0), "max_iterations must be >= 1"),
             (dict(mode="dfs"), "mode must be bf, prio, or pattern-iter"),
+            (dict(alpha=float("nan")), "alpha must be >= 0"),
+            (dict(alpha=float("inf")), "alpha must be >= 0"),
+            (dict(alpha=float("-inf")), "alpha must be >= 0"),
         ],
     )
     def test_validation(self, overrides, message):

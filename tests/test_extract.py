@@ -147,19 +147,16 @@ class TestExtractPatternCandidates:
         assert cand.phrase == SPACE_PATTERN
 
     def test_length_caps(self, catalog):
-        long_gap = "word " * 12
+        # the caps are 8 tokens and 60 characters; one more of either drops
         snippets = [
-            make_snippet(f"Ada Veil {long_gap}Bo Quist"),
-            make_snippet("Ada Veil " + "x" * 61 + " Bo Quist"),
+            make_snippet("Ada Veil " + "w " * 8 + "Bo Quist"),
+            make_snippet("Ada Veil " + "v " * 9 + "Bo Quist"),
+            make_snippet("Ada Veil " + "x" * 60 + " Bo Quist"),
+            make_snippet("Ada Veil " + "y" * 61 + " Bo Quist"),
             make_snippet("Ada Veil with Bo Quist"),
         ]
         phrases = [c.phrase for c in extract_pattern_candidates(snippets, catalog)]
-        assert phrases == ["with"]
-
-    def test_caps_adjustable(self, catalog):
-        snippets = [make_snippet("Ada Veil one two three Bo Quist")]
-        assert extract_pattern_candidates(snippets, catalog, max_tokens=2) == []
-        assert len(extract_pattern_candidates(snippets, catalog, max_tokens=3)) == 1
+        assert phrases == [" ".join("w" * 8), "with", "x" * 60]
 
     def test_gap_containing_entity_rejected(self, catalog, monkeypatch):
         # The in-snippet scanner already splits any gap holding a full

@@ -46,6 +46,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="alpha must be >= 0"):
             Frontier(PRIORITY, alpha=-0.1)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be >= 0 and finite"):
+            Frontier(PRIORITY, alpha=alpha)
+
 
 class TestFifo:
     def test_pops_in_insertion_order(self):
