@@ -158,6 +158,16 @@ class TestExtractPatternCandidates:
         phrases = [c.phrase for c in extract_pattern_candidates(snippets, catalog)]
         assert phrases == [" ".join("w" * 8), "with", "x" * 60]
 
+    def test_caps_adjustable(self, catalog, monkeypatch):
+        # the caps are the module constants, read at call time
+        snippets = [make_snippet("Ada Veil one two three Bo Quist")]
+        monkeypatch.setattr(snipgraph.extract, "MAX_PATTERN_TOKENS", 2)
+        assert extract_pattern_candidates(snippets, catalog) == []
+        monkeypatch.setattr(snipgraph.extract, "MAX_PATTERN_TOKENS", 3)
+        assert len(extract_pattern_candidates(snippets, catalog)) == 1
+        monkeypatch.setattr(snipgraph.extract, "MAX_PATTERN_CHARS", 12)
+        assert extract_pattern_candidates(snippets, catalog) == []
+
     def test_gap_containing_entity_rejected(self, catalog, monkeypatch):
         # The in-snippet scanner already splits any gap holding a full
         # catalog name, so force the guard with a patched matcher that
