@@ -11,7 +11,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 
 class CatalogLoadError(ValueError):
@@ -38,12 +38,22 @@ def alnum_runs(text: str) -> set[str]:
 
     When both the text and a phrase are ASCII, a token-bounded
     case-insensitive match of the phrase implies that every run of the phrase
-    is also a run of the text, so these sets can rule texts out before any
-    regex runs. Non-ASCII text gives no such guarantee: re.IGNORECASE folds
-    "İ", "ı", "ſ" and the Kelvin sign onto ASCII letters one character at a
-    time.
+    is also a run of the text, so these sets can rule texts out before the
+    phrase itself is looked for. Non-ASCII text gives no such guarantee:
+    re.IGNORECASE folds "İ", "ı", "ſ" and the Kelvin sign onto ASCII letters
+    one character at a time.
     """
     return set(_ALNUM_RUN.findall(text.lower()))
+
+
+def fold_text(text: str) -> str:
+    """`text` lowercased, every whitespace run one space, ends trimmed.
+
+    This is the form in which ASCII text is compared with a phrase, by
+    `folded_phrase_test` in replay and by the run lookup in spotting. It
+    keeps the alnum runs of `text`.
+    """
+    return " ".join(text.lower().split())
 
 
 @lru_cache(maxsize=4096)
@@ -63,6 +73,39 @@ def phrase_regex(phrase: str) -> re.Pattern[str]:
     if edges and edges[-1].isalnum():
         body = body + r"(?![^\W_])"
     return re.compile(body, re.IGNORECASE)
+
+
+def folded_phrase_test(phrase: str) -> Callable[[str], bool]:
+    """`phrase_regex(phrase).search` without a regex, for ASCII text.
+
+    For a non-blank ASCII phrase and an ASCII text, the returned test of
+    `fold_text(text)` is true exactly when `phrase_regex(phrase)` finds a
+    match in `text`. The phrase is folded once, then looked for with
+    str.find; an occurrence counts when the character beside it is not a
+    letter or digit, on each side where the stripped phrase's edge is one.
+    On ASCII, re.IGNORECASE is lower(). `\\s+` is one space, since split()
+    and re's `\\s` agree on whitespace. Folding keeps whether the character
+    beside a match is a letter or digit. Non-ASCII text needs the regex:
+    re.IGNORECASE folds "İ", "ı", "ſ" and the Kelvin sign onto ASCII
+    letters, which lower() does not.
+    """
+    body = fold_text(phrase)
+    edges = phrase.strip()
+    left, right = edges[0].isalnum(), edges[-1].isalnum()
+    size = len(body)
+
+    def test(folded: str) -> bool:
+        at = folded.find(body)
+        while at >= 0:
+            end = at + size
+            if not (left and at and folded[at - 1].isalnum()) and not (
+                right and end < len(folded) and folded[end].isalnum()
+            ):
+                return True
+            at = folded.find(body, at + 1)
+        return False
+
+    return test
 
 
 def _name_rank(key: str) -> tuple[int, int, str]:
@@ -242,7 +285,7 @@ def _replay_alternation(text: str, plan: _NamePlan) -> list[tuple[int, int]]:
             if filed is None:
                 continue
             start, end = runs[i].start(), runs[i + n - 1].end()
-            found = " ".join(low[start:end].split())
+            found = fold_text(text[start:end])
             for key, lead, body, trail in filed:
                 if body != found:
                     continue

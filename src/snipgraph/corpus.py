@@ -83,7 +83,8 @@ def pa_edge_list(
     Each new node links to `attach` distinct earlier nodes, drawn with
     probability proportional to degree**exponent: exponent 1 is classic
     rich-get-richer growth, 0 is uniform attachment. The result is
-    connected by construction.
+    connected by construction. An exponent so large that a weight overflows
+    a float raises ValueError.
     """
     if n_nodes < 2:
         raise ValueError("need at least 2 nodes")
@@ -95,7 +96,12 @@ def pa_edge_list(
     degree = [1, 1]
     for v in range(2, n_nodes):
         population = list(range(v))
-        weights = [degree[u] ** exponent for u in population]
+        try:
+            weights = [degree[u] ** exponent for u in population]
+        except OverflowError:
+            raise ValueError(
+                f"exponent {exponent:g} is too large: degree**exponent overflows a float"
+            ) from None
         targets: set[int] = set()
         while len(targets) < min(attach, v):
             targets.add(rng.choices(population, weights=weights)[0])

@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 from typing import IO, Any, Callable, Iterable, Protocol
 from urllib.parse import urlparse
 
-from .catalog import alnum_runs, normalize_name, phrase_regex
+from .catalog import (
+    alnum_runs,
+    fold_text,
+    folded_phrase_test,
+    normalize_name,
+    phrase_regex,
+)
 
 PAGE_SIZE = 50
 
@@ -372,15 +378,20 @@ class ReplayBackend:
     ranking and makes replay runs fully deterministic.
 
     Only candidate records are tested against the phrases. When every quoted
-    phrase is ASCII and has an alnum run, the candidates are the ASCII
-    records holding every run of every phrase, found by intersecting the
-    posting lists of an inverted index from run to record, shortest first,
-    plus every non-ASCII record; otherwise they are the whole corpus. The
-    index is built on the first query that uses it. Non-ASCII records are
-    never ruled out, because re.IGNORECASE lets an ASCII phrase match "İ",
-    "ı", "ſ" or the Kelvin sign in them, which their lowercased runs do not
-    show. The cost of a query thus grows with the records that can match,
-    not with the corpus.
+    phrase is ASCII and the phrases hold an alnum run, the candidates are the
+    ASCII records holding every run of every phrase, found by intersecting
+    the posting lists of an inverted index from run to record, shortest
+    first, plus every non-ASCII record. The index is built on the first query
+    that uses it, in one pass that also keeps each ASCII record's folded text
+    (`catalog.fold_text`). An ASCII candidate is then checked by
+    `catalog.folded_phrase_test`, one str.find per phrase in its folded text,
+    with no regex compiled. A non-ASCII candidate is checked with
+    `phrase_regex`, and is never ruled out by the index, because
+    re.IGNORECASE lets an ASCII phrase match "İ", "ı", "ſ" or the Kelvin sign
+    in it, which neither its lowercased runs nor its folded text show. A
+    query with a non-ASCII phrase, or whose phrases hold no run, checks the
+    whole corpus with `phrase_regex`. The cost of a query thus grows with the
+    records that can match, not with the corpus.
 
     Answers are memoised by the quoted phrases, since nothing else in a
     query decides them: `"A" and`, `"A" with` and `"A"` share one scan.
@@ -390,6 +401,7 @@ class ReplayBackend:
         self.records = list(records)
         self._memo: dict[tuple[str, ...], list[CorpusRecord]] = {}
         self._postings: dict[str, list[int]] | None = None
+        self._folded: list[str | None] = []  # None for a non-ASCII record
         self._non_ascii: list[int] = []
 
     def _index(self) -> dict[str, list[int]]:
@@ -397,18 +409,23 @@ class ReplayBackend:
             self._postings = {}
             for i, rec in enumerate(self.records):
                 if not rec.text.isascii():
+                    self._folded.append(None)
                     self._non_ascii.append(i)
                     continue
-                for run in alnum_runs(rec.text):
+                folded = fold_text(rec.text)
+                self._folded.append(folded)
+                for run in alnum_runs(folded):
                     self._postings.setdefault(run, []).append(i)
         return self._postings
 
-    def _candidates(self, phrases: tuple[str, ...]) -> list[CorpusRecord]:
+    def _candidates(self, phrases: tuple[str, ...]) -> list[int] | None:
+        """Corpus-ordered indices of the ASCII records holding every run of
+        the phrases, or None when the phrases cannot use the index."""
         if not all(term.isascii() for term in phrases):
-            return self.records
+            return None
         runs = set().union(*map(alnum_runs, phrases))
         if not runs:
-            return self.records
+            return None
         postings = self._index()
         lists = sorted((postings.get(run, []) for run in runs), key=len)
         hits = set(lists[0])
@@ -416,19 +433,28 @@ class ReplayBackend:
             if not hits:
                 break
             hits.intersection_update(posting)
-        return [self.records[i] for i in sorted(hits.union(self._non_ascii))]
+        return sorted(hits)
 
     def _matches(self, raw_query: str) -> list[CorpusRecord]:
         key = tuple(parse_query_terms(raw_query))
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        needles = [phrase_regex(term) for term in key]
-        found = [
-            rec
-            for rec in self._candidates(key)
-            if all(rx.search(rec.text) for rx in needles)
-        ]
+        hits = self._candidates(key)
+        if hits is None:
+            needles = [phrase_regex(term) for term in key]
+            found = [rec for rec in self.records if all(rx.search(rec.text) for rx in needles)]
+        else:
+            folded = self._folded
+            for test in map(folded_phrase_test, key):
+                hits = [i for i in hits if test(folded[i])]
+            if self._non_ascii:
+                needles = [phrase_regex(term) for term in key]
+                hits = sorted(hits + [
+                    i for i in self._non_ascii
+                    if all(rx.search(self.records[i].text) for rx in needles)
+                ])
+            found = [self.records[i] for i in hits]
         self._memo[key] = found
         return found
 

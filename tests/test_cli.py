@@ -272,6 +272,17 @@ class TestMakeCorpus:
         assert "Traceback" not in err
         assert not (tmp_path / "c").exists()
 
+    def test_exponent_overflow_rejected(self, tmp_path, capsys):
+        args = [
+            "make-corpus", "--output-prefix", str(tmp_path / "c" / "x"),
+            "--nodes", "8", "--exponent", "1000",
+        ]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "exponent 1000 is too large" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "c").exists()
+
     def test_bad_pattern_weight(self, tmp_path, capsys):
         args = [
             "make-corpus", "--output-prefix", str(tmp_path / "x"),

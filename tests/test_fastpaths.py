@@ -1,18 +1,32 @@
 """Fast paths proved equal to their reference implementations.
 
-ReplayBackend's inverted index is checked against a plain linear scan with
-`phrase_regex`, and find_entity_matches' ASCII route against the catalog's
-one-alternation matcher. The generated texts, names and queries are built
-from pieces chosen to reach the hard cases: inner punctuation, `_` and
-digits next to a name, the characters re.IGNORECASE folds onto ASCII
+ReplayBackend's inverted index and folded check are checked against a plain
+linear scan with `phrase_regex`, and find_entity_matches' ASCII route against
+the catalog's one-alternation matcher. The generated texts, names and queries
+are built from pieces chosen to reach the hard cases: inner punctuation, `_`
+and digits next to a name, the characters re.IGNORECASE folds onto ASCII
 letters, overlapping and self-overlapping names, and mixed whitespace runs.
 """
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from snipgraph.catalog import find_entity_matches, normalize_name, phrase_regex
-from snipgraph.search import CorpusRecord, ReplayBackend, parse_query_terms
+import snipgraph.search
+from snipgraph.catalog import (
+    find_entity_matches,
+    fold_text,
+    folded_phrase_test,
+    normalize_name,
+    phrase_regex,
+)
+from snipgraph.search import (
+    CorpusRecord,
+    ReplayBackend,
+    connectivity_query,
+    entity_query,
+    pair_query,
+    parse_query_terms,
+)
 
 from conftest import make_catalog
 
@@ -143,9 +157,62 @@ class TestReplayIndex:
             ('"Ada" "Bo" with x', 2, 5), ('"Ada"', 0, 5), ('"Ada" and', 1, 1),
         ],
     )
+    # the folded check: a later occurrence, each guard alone, and no guard off an edge
+    @example(corpus=["Bo Quistx and Bo Quist"], batch=[('"Bo Quist"', 0, 5)])
+    @example(corpus=["Bo Quistx Quist"], batch=[('"Bo Quist"', 0, 5)])
+    @example(corpus=["x-Bo"], batch=[('"-Bo"', 0, 5)])
+    @example(corpus=["xBo Quist bo"], batch=[('"Bo Quist"', 0, 5)])
     def test_fetch_equals_linear_scan(self, corpus, batch):
         records = [CorpusRecord(f"u{i}", "d", text) for i, text in enumerate(corpus)]
         backend = ReplayBackend(records)
         for raw, offset, count in batch:
             expected = linear_fetch(records, raw, offset, count)
             assert backend.fetch(raw, offset, count) == expected
+
+
+class TestFoldedPhrase:
+    @SETTINGS
+    @given(
+        text=joined(st.sampled_from([w for w in NAME_PIECES + FILLER if w.isascii()]),
+                    separators, max_size=12),
+        term=quoted_terms().filter(str.isascii),
+    )
+    @example(text="xBo Quist bo", term="Bo Quist")
+    def test_equals_phrase_regex_on_ascii(self, text, term):
+        found = phrase_regex(term).search(text) is not None
+        assert folded_phrase_test(term)(fold_text(text)) == found
+
+
+class TestReplayCompiles:
+    RECORDS = (
+        "Ada Veil and Bo Quist", "bo quist with\tADA VEIL", "Ada Veilx and Bo",
+        "x-Ada Veil, Bo Quist.", "Bo\nQuist", "Quist Bo and Ada",
+    )
+    QUERIES = (
+        connectivity_query("Ada Veil", "and"), connectivity_query("Bo Quist", "with"),
+        pair_query("Ada Veil", "Bo Quist"), pair_query("Bo Quist", "Ada"),
+        entity_query("Bo Quist"), entity_query("Iris Quist"),
+    )
+
+    def fetch_counting(self, monkeypatch, texts):
+        """Fetch every query, checked against the reference scan, counting the
+        phrase_regex calls made by the backend (the reference's are not)."""
+        records = [CorpusRecord(f"u{i}", "d", text) for i, text in enumerate(texts)]
+        calls = []
+        monkeypatch.setattr(
+            snipgraph.search, "phrase_regex", lambda term: calls.append(term) or phrase_regex(term)
+        )
+        backend = ReplayBackend(records)
+        for query in self.QUERIES:
+            assert backend.fetch(query.raw, 0, 50) == linear_fetch(records, query.raw, 0, 50)
+        return backend, calls
+
+    def test_ascii_corpus_compiles_nothing(self, monkeypatch):
+        backend, calls = self.fetch_counting(monkeypatch, self.RECORDS)
+        assert calls == []
+        assert all(backend.fetch(query.raw, 0, 50) for query in self.QUERIES[:-1])
+
+    def test_non_ascii_record_keeps_the_regex(self, monkeypatch):
+        backend, calls = self.fetch_counting(monkeypatch, self.RECORDS + ("met \u0130ris Quist",))
+        assert calls
+        assert [rec.url for rec in backend.fetch('"Iris Quist"', 0, 50)] == ["u6"]
