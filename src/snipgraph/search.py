@@ -442,19 +442,18 @@ class ReplayBackend:
             return hit
         hits = self._candidates(key)
         if hits is None:
-            needles = [phrase_regex(term) for term in key]
-            found = [rec for rec in self.records if all(rx.search(rec.text) for rx in needles)]
+            hits, by_regex = [], range(len(self.records))
         else:
             folded = self._folded
             for test in map(folded_phrase_test, key):
                 hits = [i for i in hits if test(folded[i])]
-            if self._non_ascii:
-                needles = [phrase_regex(term) for term in key]
-                hits = sorted(hits + [
-                    i for i in self._non_ascii
-                    if all(rx.search(self.records[i].text) for rx in needles)
-                ])
-            found = [self.records[i] for i in hits]
+            by_regex = self._non_ascii
+        if by_regex:
+            needles = [phrase_regex(term) for term in key]
+            hits = sorted(hits + [
+                i for i in by_regex if all(rx.search(self.records[i].text) for rx in needles)
+            ])
+        found = [self.records[i] for i in hits]
         self._memo[key] = found
         return found
 
