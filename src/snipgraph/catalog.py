@@ -18,7 +18,6 @@ class CatalogLoadError(ValueError):
     """Catalog input could not be decoded or read."""
 
 
-_WS_RUN = re.compile(r"\s+")
 _ALNUM_RUN = re.compile(r"[^\W_]+")
 
 
@@ -26,11 +25,6 @@ def normalize_name(raw: str) -> str:
     """Canonical lookup form: NFC, casefold, whitespace runs collapsed, trimmed."""
     s = unicodedata.normalize("NFC", raw).casefold()
     return " ".join(s.split())
-
-
-def collapse_ws(text: str) -> str:
-    """Collapse every whitespace run (incl. newlines) to a single space."""
-    return _WS_RUN.sub(" ", text)
 
 
 def alnum_runs(text: str) -> set[str]:

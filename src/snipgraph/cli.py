@@ -5,10 +5,10 @@ pattern bootstrapping), baseline (pairwise co-occurrence), analyze
 (distributions and top relations of a saved graph), make-corpus (synthetic
 replay corpora with ground truth).
 
-Settings resolve as flags over config file over defaults; the config file is
-flat key=value text. Exit status: 0 on success (budget exhaustion included),
-1 on configuration errors, 2 on aborted runs, whose partial outputs are
-still written.
+Each run option resolves as flag over config file over default; the config
+file is flat key=value text. Exit status: 0 on success (budget exhaustion
+included), 1 on configuration errors, 2 on aborted runs, whose partial
+outputs are still written.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 import os
 import re
 import sys
-from typing import Callable, TypeVar
+from typing import TypeVar
 
 from .analysis import (
     baseline_pairwise,
@@ -62,30 +62,29 @@ from .search import (
 
 API_KEY_ENV = "SEARCH_API_KEY"
 
-# config file keys. A flag is its key in kebab case, except that the four
-# file keys drop "_file": --seeds, --catalog, --patterns, --match-patterns.
-KNOWN_KEYS = frozenset(
-    {
-        "seeds_file",
-        "patterns_file",
-        "match_patterns_file",
-        "catalog_file",
-        "tau",
-        "sigma",
-        "alpha",
-        "h",
-        "k",
-        "max_requests",
-        "max_iterations",
-        "mode",
-        "backend",
-        "corpus",
-        "cache_dir",
-        "output_prefix",
-        "threshold",
-        "max_entities",
-    }
-)
+# config file key -> type of its value. A flag is its key in kebab case,
+# except that the four file keys drop "_file": --seeds, --catalog, --patterns,
+# --match-patterns. A new run option is its flag plus one entry here.
+CONFIG_KEYS: dict[str, type] = {
+    "seeds_file": str,
+    "patterns_file": str,
+    "match_patterns_file": str,
+    "catalog_file": str,
+    "tau": int,
+    "sigma": int,
+    "alpha": float,
+    "h": int,
+    "k": int,
+    "max_requests": int,
+    "max_iterations": int,
+    "mode": str,
+    "backend": str,
+    "corpus": str,
+    "cache_dir": str,
+    "output_prefix": str,
+    "threshold": float,
+    "max_entities": int,
+}
 
 
 class ConfigError(Exception):
@@ -113,39 +112,26 @@ def load_config_file(path: str) -> dict[str, str]:
             if not sep:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key = key.strip()
-            if key not in KNOWN_KEYS:
+            if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             data[key] = value.strip()
     return data
 
 
+def _apply_config(args: argparse.Namespace) -> None:
+    """Give each option of the command that no flag set (dest: the key without
+    "_file") its config value; keys of options it lacks are never read."""
+    config = load_config_file(args.config) if args.config else {}
+    for key, cast in CONFIG_KEYS.items():
+        dest = key.removesuffix("_file")
+        if key in config and getattr(args, dest, False) is None:
+            try:
+                setattr(args, dest, cast(config[key]))
+            except ValueError as exc:
+                raise ConfigError(f"config {key}: bad value {config[key]!r}") from exc
+
+
 T = TypeVar("T")
-
-
-class Settings:
-    """Resolves one option: flag value, else config value, else default."""
-
-    def __init__(self, args: argparse.Namespace, config: dict[str, str]) -> None:
-        self.args = vars(args)
-        self.config = config
-
-    def get(
-        self,
-        key: str,
-        cast: Callable[[str], T],
-        default: T | None = None,
-        flag: str | None = None,
-    ) -> T | None:
-        value = self.args.get(flag or key)
-        if value is not None:
-            return value
-        raw = self.config.get(key)
-        if raw is None:
-            return default
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"config {key}: bad value {raw!r}") from exc
 
 
 def _read_lines(path: str, what: str) -> list[str]:
@@ -169,8 +155,8 @@ def _ensure_parent(prefix: str) -> None:
         os.makedirs(parent, exist_ok=True)
 
 
-def _load_catalog(settings: Settings) -> EntityCatalog:
-    path = _require(settings.get("catalog_file", str, flag="catalog"), "--catalog")
+def _load_catalog(args: argparse.Namespace) -> EntityCatalog:
+    path = _require(args.catalog, "--catalog")
     try:
         catalog = load_catalog_file(path)
     except OSError as exc:
@@ -180,8 +166,8 @@ def _load_catalog(settings: Settings) -> EntityCatalog:
     return catalog
 
 
-def _load_seeds(settings: Settings) -> tuple[str, ...]:
-    path = _require(settings.get("seeds_file", str, flag="seeds"), "--seeds")
+def _load_seeds(args: argparse.Namespace) -> tuple[str, ...]:
+    path = _require(args.seeds, "--seeds")
     seeds = tuple(_read_lines(path, "seeds file"))
     if not seeds:
         raise ConfigError(f"seeds file is empty: {path}")
@@ -189,9 +175,8 @@ def _load_seeds(settings: Settings) -> tuple[str, ...]:
 
 
 def _load_phrases(
-    settings: Settings, key: str, flag: str, default: tuple[str, ...]
+    path: str | None, flag: str, default: tuple[str, ...]
 ) -> tuple[str, ...]:
-    path = settings.get(key, str, flag=flag)
     if path is None:
         return default
     try:
@@ -203,19 +188,18 @@ def _load_phrases(
     return tuple(p.phrase for p in patterns)
 
 
-def _build_gateway(settings: Settings, live_ok: bool) -> SearchGateway:
-    backend_name = settings.get("backend", str, default="replay")
-    cache_dir = settings.get("cache_dir", str)
-    cache = SnippetCache(cache_dir) if cache_dir else None
+def _build_gateway(args: argparse.Namespace) -> SearchGateway:
+    backend_name = "replay" if args.backend is None else args.backend
+    cache = SnippetCache(args.cache_dir) if args.cache_dir else None
     if backend_name == "replay":
-        corpus = _require(settings.get("corpus", str), "--corpus")
+        corpus = _require(args.corpus, "--corpus")
         try:
             backend = ReplayBackend(load_corpus_file(corpus))
         except OSError as exc:
             raise ConfigError(f"cannot read corpus: {exc}") from exc
         return SearchGateway(backend, cache=cache)
     if backend_name == "live":
-        if not live_ok:
+        if not args.live:
             raise ConfigError("live backend requires the --live flag")
         api_key = os.environ.get(API_KEY_ENV, "")
         if not api_key:
@@ -224,27 +208,21 @@ def _build_gateway(settings: Settings, live_ok: bool) -> SearchGateway:
     raise ConfigError(f"backend must be replay or live, not {backend_name!r}")
 
 
-def _given(settings: Settings, **casts: Callable[[str], object]) -> dict[str, object]:
-    """The settings among `casts` that a flag or the config file sets; the
+def _given(args: argparse.Namespace, *dests: str) -> dict[str, object]:
+    """The options among `dests` that a flag or the config file set; the
     others are left out, so each default lives where the value is used."""
-    values = {key: settings.get(key, cast) for key, cast in casts.items()}
-    return {key: value for key, value in values.items() if value is not None}
+    return {dest: getattr(args, dest) for dest in dests if getattr(args, dest) is not None}
 
 
-def _build_run_config(settings: Settings, default_mode: str) -> RunConfig:
+def _build_run_config(args: argparse.Namespace, default_mode: str) -> RunConfig:
     run_config = RunConfig(
-        seeds=_load_seeds(settings),
-        query_patterns=_load_phrases(
-            settings, "patterns_file", "patterns", DEFAULT_QUERY_PATTERNS
-        ),
+        seeds=_load_seeds(args),
+        query_patterns=_load_phrases(args.patterns, "patterns", DEFAULT_QUERY_PATTERNS),
         match_patterns=_load_phrases(
-            settings, "match_patterns_file", "match_patterns", DEFAULT_MATCH_PATTERNS
+            args.match_patterns, "match_patterns", DEFAULT_MATCH_PATTERNS
         ),
-        mode=settings.get("mode", str, default=default_mode),
-        **_given(
-            settings, tau=int, sigma=int, alpha=float, h=int, k=int,
-            max_requests=int, max_iterations=int,
-        ),
+        mode=default_mode if args.mode is None else args.mode,
+        **_given(args, "tau", "sigma", "alpha", "h", "k", "max_requests", "max_iterations"),
     )
     run_config.validate()
     return run_config
@@ -305,15 +283,14 @@ def _finish_run(
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    config = load_config_file(args.config) if args.config else {}
-    settings = Settings(args, config)
+    _apply_config(args)
     default_mode = MODE_PATTERN_ITER if args.command == "mine-patterns" else MODE_BF
-    run_config = _build_run_config(settings, default_mode)
+    run_config = _build_run_config(args, default_mode)
     if args.command == "mine-patterns" and run_config.mode != MODE_PATTERN_ITER:
         raise ConfigError("mine-patterns requires mode pattern-iter")
-    prefix = _require(settings.get("output_prefix", str), "--output-prefix")
-    catalog = _load_catalog(settings)
-    gateway = _build_gateway(settings, live_ok=args.live)
+    prefix = _require(args.output_prefix, "--output-prefix")
+    catalog = _load_catalog(args)
+    gateway = _build_gateway(args)
     if run_config.mode == MODE_PATTERN_ITER:
         graph, report, patterns = expand_with_pattern_mining(
             run_config, gateway, catalog
@@ -328,13 +305,12 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    config = load_config_file(args.config) if args.config else {}
-    settings = Settings(args, config)
-    prefix = _require(settings.get("output_prefix", str), "--output-prefix")
-    catalog = _load_catalog(settings)
-    seeds = _load_seeds(settings)
-    gateway = _build_gateway(settings, live_ok=args.live)
-    limits = _given(settings, threshold=float, max_requests=int, k=int, max_entities=int)
+    _apply_config(args)
+    prefix = _require(args.output_prefix, "--output-prefix")
+    catalog = _load_catalog(args)
+    seeds = _load_seeds(args)
+    gateway = _build_gateway(args)
+    limits = _given(args, "threshold", "max_requests", "k", "max_entities")
     if "threshold" in limits:
         limits["t"] = limits.pop("threshold")
     graph, report = baseline_pairwise(seeds, gateway, catalog, **limits)
@@ -529,10 +505,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TransportError as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .graph import SocialGraph
@@ -83,8 +84,8 @@ def pa_edge_list(
     Each new node links to `attach` distinct earlier nodes, drawn with
     probability proportional to degree**exponent: exponent 1 is classic
     rich-get-richer growth, 0 is uniform attachment. The result is
-    connected by construction. An exponent so large that a weight overflows
-    a float raises ValueError.
+    connected by construction. An exponent so large that a weight, or the
+    total of a node's weights, overflows a float raises ValueError.
     """
     if n_nodes < 2:
         raise ValueError("need at least 2 nodes")
@@ -98,10 +99,14 @@ def pa_edge_list(
         population = list(range(v))
         try:
             weights = [degree[u] ** exponent for u in population]
+            total = list(accumulate(weights))[-1]
         except OverflowError:
+            total = math.inf
+        # random.choices sums the weights left to right and refuses an infinite total
+        if total == math.inf:
             raise ValueError(
                 f"exponent {exponent:g} is too large: degree**exponent overflows a float"
-            ) from None
+            )
         targets: set[int] = set()
         while len(targets) < min(attach, v):
             targets.add(rng.choices(population, weights=weights)[0])

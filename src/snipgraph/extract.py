@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .catalog import EntityCatalog, collapse_ws, find_entity_matches
+from .catalog import EntityCatalog, find_entity_matches
 from .search import CorpusRecord
 
 # The single-space pattern: connects names separated by whitespace only.
@@ -42,16 +42,11 @@ MAX_PATTERN_TOKENS = 8
 def pattern_key(phrase: str) -> str:
     """Canonical comparison form of a pattern phrase or entity gap.
 
-    Whitespace runs collapse to single spaces, then at most one leading and
-    one trailing space is dropped. The single-space pattern maps to the empty
-    key, which is exactly what a whitespace-only gap reduces to.
+    Whitespace runs collapse to single spaces and both ends are trimmed. The
+    single-space pattern maps to the empty key, which is exactly what a
+    whitespace-only gap reduces to.
     """
-    s = collapse_ws(phrase)
-    if s.startswith(" "):
-        s = s[1:]
-    if s.endswith(" "):
-        s = s[:-1]
-    return s
+    return " ".join(phrase.split())
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,9 @@ from .catalog import (
 
 PAGE_SIZE = 50
 
-# seconds before the first retry of a failed page; doubled for each later one
+# attempts at each result page, and seconds before the first retry; the
+# delay doubles for each later retry
+RETRIES = 3
 RETRY_DELAY = 1.0
 
 FORBIDDEN_QUERY_CHARS = ("&", ",", "+")
@@ -570,15 +572,11 @@ class SearchGateway:
         backend: SearchBackend,
         ledger: BudgetLedger | None = None,
         cache: SnippetCache | None = None,
-        retries: int = 3,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if retries < 1:
-            raise ValueError("retries must be >= 1")
         self.backend = backend
         self.ledger = ledger if ledger is not None else BudgetLedger()
         self.cache = cache
-        self.retries = retries
         self._sleep = sleep
 
     def _fetch_page(
@@ -586,12 +584,12 @@ class SearchGateway:
     ) -> list[CorpusRecord]:
         """One result page; each failed attempt is appended to `failures`."""
         delay = RETRY_DELAY
-        for attempt in range(1, self.retries + 1):
+        for attempt in range(1, RETRIES + 1):
             try:
                 return self.backend.fetch(raw_query, offset, PAGE_SIZE)
             except TransportError as exc:
                 failures.append(exc)
-                if isinstance(exc, FatalTransportError) or attempt == self.retries:
+                if isinstance(exc, FatalTransportError) or attempt == RETRIES:
                     raise
                 self._sleep(delay)
                 delay *= 2

@@ -5,7 +5,6 @@ import pytest
 from snipgraph.catalog import (
     CatalogLoadError,
     EntityCatalog,
-    collapse_ws,
     find_entity_matches,
     load_catalog,
     load_catalog_file,
@@ -28,10 +27,6 @@ class TestNormalizeName:
     def test_casefold_beats_lower(self):
         # eszett only folds under casefold, not lower()
         assert normalize_name("Weiß") == "weiss"
-
-
-def test_collapse_ws():
-    assert collapse_ws("a \n\t b  c") == "a b c"
 
 
 class TestEntityCatalog:

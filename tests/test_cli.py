@@ -9,8 +9,10 @@ import pytest
 
 import snipgraph.cli as cli
 from snipgraph.cli import (
+    CONFIG_KEYS,
     ConfigError,
     _parse_pattern_args,
+    build_parser,
     load_config_file,
     main,
 )
@@ -272,14 +274,15 @@ class TestMakeCorpus:
         assert "Traceback" not in err
         assert not (tmp_path / "c").exists()
 
-    def test_exponent_overflow_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("exponent", ["1000", "1023.9"])
+    def test_exponent_overflow_rejected(self, tmp_path, capsys, exponent):
         args = [
             "make-corpus", "--output-prefix", str(tmp_path / "c" / "x"),
-            "--nodes", "8", "--exponent", "1000",
+            "--nodes", "8", "--exponent", exponent,
         ]
         assert main(args) == 1
         err = capsys.readouterr().err
-        assert err.count("error:") == 1 and "exponent 1000 is too large" in err
+        assert err.count("error:") == 1 and f"exponent {exponent} is too large" in err
         assert "Traceback" not in err
         assert not (tmp_path / "c").exists()
 
@@ -370,11 +373,49 @@ class TestConfigResolution:
         assert main(base_args(workspace) + ["--config", str(config)]) == 1
         assert "config tau: bad value 'many'" in capsys.readouterr().err
 
+    def test_flag_beats_malformed_config_value(self, workspace):
+        config = workspace / "run.cfg"
+        config.write_text("tau = many\n", encoding="utf-8")
+        args = base_args(workspace) + ["--config", str(config), "--tau", "2"]
+        assert main(args) == 0
+
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            ("extract", "threshold = abc\nmax_entities = zz\n"),
+            ("baseline", "mode = fast\ntau = x\n"),
+        ],
+        ids=["extract", "baseline"],
+    )
+    def test_keys_of_other_commands_are_not_read(self, workspace, command, keys):
+        assert main(base_args(workspace, command=command, prefix="plain/run")) == 0
+        config = workspace / "run.cfg"
+        config.write_text(keys, encoding="utf-8")
+        args = base_args(workspace, command=command) + ["--config", str(config)]
+        assert main(args) == 0
+        for suffix in (".edges", ".trace.csv", ".summary.txt", ".queries.tsv"):
+            with_keys = (workspace / f"out/run{suffix}").read_bytes()
+            assert with_keys == (workspace / f"plain/run{suffix}").read_bytes()
+
+    def test_empty_backend_value(self, workspace, capsys):
+        config = workspace / "run.cfg"
+        config.write_text("backend =\n", encoding="utf-8")
+        assert main(base_args(workspace) + ["--config", str(config)]) == 1
+        assert "backend must be replay or live, not ''" in capsys.readouterr().err
+
     def test_missing_equals(self, workspace, capsys):
         config = workspace / "run.cfg"
         config.write_text("tau 3\n", encoding="utf-8")
         assert main(base_args(workspace) + ["--config", str(config)]) == 1
         assert f"{config}:1: expected key=value" in capsys.readouterr().err
+
+    def test_config_keys_match_run_flags(self):
+        parser = build_parser()
+        dests = set()
+        for command in ("extract", "mine-patterns", "baseline"):
+            dests |= vars(parser.parse_args([command])).keys()
+        dests -= {"command", "func", "config", "live"}
+        assert dests == {key.removesuffix("_file") for key in CONFIG_KEYS}
 
     def test_load_config_file_parses_and_trims(self, tmp_path):
         config = tmp_path / "run.cfg"

@@ -32,6 +32,7 @@ class TestPatternKey:
 
     def test_collapses_internal_runs(self):
         assert pattern_key("speaks \t with") == "speaks with"
+        assert pattern_key("a \n\t b  c") == "a b c"
 
     def test_case_sensitive(self):
         assert pattern_key("AND") != pattern_key("and")

@@ -3,12 +3,14 @@
 import io
 import json
 import tempfile
+from unittest import mock
 
 import pytest
 import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from snipgraph import search
 from snipgraph.search import (
     PAGE_SIZE,
     BudgetLedger,
@@ -457,7 +459,7 @@ class TestRetries:
         with pytest.raises(TransportError, match="503") as excinfo:
             gateway.search(connectivity_query("Ada Veil", "and"), k=5)
         assert not isinstance(excinfo.value, FatalTransportError)
-        assert len(calls) == gateway.retries == 3
+        assert len(calls) == search.RETRIES == 3
         assert sleeps == [1.0, 2.0]
 
     @pytest.mark.parametrize(
@@ -486,10 +488,6 @@ class TestRetries:
         assert len(calls) == 3
         assert gateway.ledger.used_requests == 3
         assert gateway.ledger.log[-1].retries == 3
-
-    def test_retries_validated(self):
-        with pytest.raises(ValueError, match="retries"):
-            SearchGateway(ReplayBackend([]), retries=0)
 
 
 class ScheduledBackend:
@@ -524,11 +522,12 @@ class ScheduledBackend:
 )
 def test_ledger_charges_every_backend_call(schedule, retries, k, records):
     backend = ScheduledBackend(matching_records(records), schedule)
-    gateway = SearchGateway(backend, retries=retries, sleep=lambda _s: None)
-    try:
-        snippets, spent = gateway.search(connectivity_query("Ada Veil", "and"), k)
-    except TransportError:
-        snippets, spent = [], None
+    gateway = SearchGateway(backend, sleep=lambda _s: None)
+    with mock.patch.object(search, "RETRIES", retries):
+        try:
+            snippets, spent = gateway.search(connectivity_query("Ada Veil", "and"), k)
+        except TransportError:
+            snippets, spent = [], None
     failed = sum(error is not None for error in schedule[: backend.calls])
     assert gateway.ledger.used_requests == backend.calls
     assert gateway.ledger.queries_issued == 1
