@@ -1,8 +1,10 @@
 """Person-name catalog: loading, normalization, and in-text entity spotting.
 
 A catalog is a dictionary of canonical person names. Matching inside snippet
-text is case-insensitive, tolerant of collapsed whitespace, longest-match-wins,
-and token-bounded (a name never matches inside a longer word).
+text compares casefolded text (so "Strauß" and "STRAUSS" are one name), is
+tolerant of collapsed whitespace, longest-match-wins, and token-bounded (a
+name never matches inside a longer word). Names, phrases and texts share the
+one fold that keys the catalog, `str.casefold`.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import IO, Callable, Iterable
 
 
@@ -28,36 +29,35 @@ def normalize_name(raw: str) -> str:
 
 
 def alnum_runs(text: str) -> set[str]:
-    """Distinct maximal letter-and-digit runs of `text`, lowercased.
+    """Distinct maximal letter-and-digit runs of `text`, casefolded.
 
-    When both the text and a phrase are ASCII, a token-bounded
-    case-insensitive match of the phrase implies that every run of the phrase
-    is also a run of the text, so these sets can rule texts out before the
-    phrase itself is looked for. Non-ASCII text gives no such guarantee:
-    re.IGNORECASE folds "İ", "ı", "ſ" and the Kelvin sign onto ASCII letters
-    one character at a time.
+    A token-bounded match of a folded phrase in a folded text implies that
+    every run of the phrase is also a run of the text, so these sets can rule
+    texts out before the phrase itself is looked for.
     """
-    return set(_ALNUM_RUN.findall(text.lower()))
+    return set(_ALNUM_RUN.findall(text.casefold()))
 
 
 def fold_text(text: str) -> str:
-    """`text` lowercased, every whitespace run one space, ends trimmed.
+    """`text` casefolded, every whitespace run one space, ends trimmed.
 
-    This is the form in which ASCII text is compared with a phrase, by
-    `folded_phrase_test` in replay and by the run lookup in spotting. It
-    keeps the alnum runs of `text`.
+    This is the form in which every text is compared with a phrase, by
+    `folded_phrase_test` in replay. It keeps the alnum runs of
+    `text.casefold()`; casefold never turns whitespace into anything else or
+    anything else into whitespace.
     """
-    return " ".join(text.lower().split())
+    return " ".join(text.casefold().split())
 
 
-@lru_cache(maxsize=4096)
 def phrase_regex(phrase: str) -> re.Pattern[str]:
-    """Compile a token-bounded, case-insensitive matcher for a phrase.
+    """Compile a token-bounded matcher for a phrase, the spec of replay.
 
-    Internal spaces match any whitespace run. Boundary guards ([^\\W_] = letters
-    and digits) are applied only where the phrase edge is itself alphanumeric,
-    so punctuation phrases like "&" may sit flush against a word. The edges
-    are those of the stripped phrase: " and " is guarded like "and".
+    Case is not ignored: the spec of replay is `phrase_regex(fold_text(p))`
+    searched in `fold_text(text)`. Internal spaces match any whitespace run.
+    Boundary guards ([^\\W_] = letters and digits) are applied only where the
+    phrase edge is itself alphanumeric, so punctuation phrases like "&" may
+    sit flush against a word. The edges are those of the stripped phrase:
+    " and " is guarded like "and".
     """
     parts = phrase.split()
     body = r"\s+".join(re.escape(p) for p in parts) if parts else re.escape(phrase)
@@ -66,26 +66,23 @@ def phrase_regex(phrase: str) -> re.Pattern[str]:
         body = r"(?<![^\W_])" + body
     if edges and edges[-1].isalnum():
         body = body + r"(?![^\W_])"
-    return re.compile(body, re.IGNORECASE)
+    return re.compile(body)
 
 
 def folded_phrase_test(phrase: str) -> Callable[[str], bool]:
-    """`phrase_regex(phrase).search` without a regex, for ASCII text.
+    """`phrase_regex(fold_text(phrase)).search` without a regex.
 
-    For a non-blank ASCII phrase and an ASCII text, the returned test of
-    `fold_text(text)` is true exactly when `phrase_regex(phrase)` finds a
-    match in `text`. The phrase is folded once, then looked for with
-    str.find; an occurrence counts when the character beside it is not a
-    letter or digit, on each side where the stripped phrase's edge is one.
-    On ASCII, re.IGNORECASE is lower(). `\\s+` is one space, since split()
-    and re's `\\s` agree on whitespace. Folding keeps whether the character
-    beside a match is a letter or digit. Non-ASCII text needs the regex:
-    re.IGNORECASE folds "İ", "ı", "ſ" and the Kelvin sign onto ASCII
-    letters, which lower() does not.
+    For a non-blank phrase, the returned test of `fold_text(text)` is true
+    exactly when `phrase_regex(fold_text(phrase))` finds a match in it. The
+    phrase is folded once, then looked for with str.find; an occurrence
+    counts when the character beside it is not a letter or digit, on each
+    side where the folded phrase's edge is one. `\\s+` is one space, since
+    split() and re's `\\s` agree on whitespace. The guards come from the
+    folded phrase, because casefold can change whether an edge is a letter:
+    "\\u0345" folds to "ι".
     """
     body = fold_text(phrase)
-    edges = phrase.strip()
-    left, right = edges[0].isalnum(), edges[-1].isalnum()
+    left, right = body[0].isalnum(), body[-1].isalnum()
     size = len(body)
 
     def test(folded: str) -> bool:
@@ -113,16 +110,16 @@ def _name_pattern(key: str) -> str:
 
 
 class _NamePlan:
-    """How to find each catalog name in an ASCII text.
+    """How to find each catalog name in a casefolded text.
 
-    An ASCII name whose first and last whitespace tokens each hold an alnum
-    run is a fixed sequence of runs. It is filed under that run tuple with
+    A name whose first and last whitespace tokens each hold an alnum run is
+    a fixed sequence of runs. It is filed under that run tuple with
     its lead (the text before the first run, as "-" in "-Bo"), its body
     (from the first run to the last, separators included) and its trail
     (the text after the last run, as "." in "Jr."). One tuple can file
-    several names ("Bo Quist", "Bo-Quist"). Every other name, one that is
-    not ASCII or whose first or last token holds no run ("& Bo"), is always
-    searched with its own pattern.
+    several names ("Bo Quist", "Bo-Quist"). Every other name, one whose
+    first or last token holds no run ("& Bo"), is always searched with its
+    own pattern.
     """
 
     def __init__(self, keys: Iterable[str]) -> None:
@@ -131,8 +128,8 @@ class _NamePlan:
         self.always: list[tuple[str, re.Pattern[str]]] = []
         for key in self.rank:
             parts = re.split(r"([^\W_]+)", key)
-            if not key.isascii() or len(parts) == 1 or " " in parts[0] + parts[-1]:
-                self.always.append((key, re.compile(_name_pattern(key), re.IGNORECASE)))
+            if len(parts) == 1 or " " in parts[0] + parts[-1]:
+                self.always.append((key, re.compile(_name_pattern(key))))
                 continue
             lead, trail = parts[0], parts[-1]
             entry = (key, lead, key[len(lead) : len(key) - len(trail)], trail)
@@ -174,15 +171,18 @@ class EntityCatalog:
         return True
 
     def matcher(self) -> re.Pattern[str] | None:
-        """Compiled alternation over all names, longest (tokens, chars) first."""
+        """Compiled alternation over all keys, longest (tokens, chars) first.
+
+        The spec of `find_entity_matches`, searched in `text.casefold()`.
+        """
         if self._matcher is None and self.normalized_index:
             keys = sorted(self.normalized_index, key=_name_rank)
             alts = [_name_pattern(key) for key in keys]
-            self._matcher = re.compile("|".join(alts), re.IGNORECASE)
+            self._matcher = re.compile("|".join(alts))
         return self._matcher
 
     def _name_plan(self) -> _NamePlan:
-        """Run-tuple lookup and per-name matchers for ASCII text, built on first use."""
+        """Run-tuple lookup and per-name matchers, built on first use."""
         if self._plan is None:
             self._plan = _NamePlan(self.normalized_index)
         return self._plan
@@ -218,22 +218,23 @@ def find_entity_matches(
 
     Longest match wins at each position, scanning left to right, and
     matches are token-bounded (characters adjacent to a match are never
-    letters or digits).
+    letters or digits). Text and names are compared casefolded, so "Strauß"
+    and "STRAUSS" match the key "strauss"; "İris" and "ıris" do not match
+    "Iris", because they fold to "i̇ris" (with a combining dot) and "ıris".
 
-    `catalog.matcher()`, one alternation over every name, defines the result.
-    ASCII text takes a faster route with the same result. An ASCII name whose
+    `catalog.matcher()`, one alternation over every key searched in
+    `text.casefold()`, defines the result; this replays it. A name whose
     first and last tokens each hold an alnum run is found by looking up each
-    n consecutive lowercased alnum runs of the text among the names of n
-    runs. The text from the first of those runs to the last, whitespace
+    n consecutive alnum runs of the folded text among the names of n runs.
+    The folded text from the first of those runs to the last, whitespace
     collapsed, must then equal the name's body, and the text around them
-    must hold its lead and trail. Other names (not ASCII, or with a
-    first or last token that holds no run) are searched each with its own
-    pattern at every start. The alternation's choice is then replayed:
-    leftmost start first, then more tokens, more characters, smaller key.
-    The plan behind it is built on the first ASCII text. Text that is not
-    ASCII stays on the alternation, because re.IGNORECASE folds "İ", "ı", "ſ"
-    and the Kelvin sign onto ASCII letters one character at a time, which no
-    lower() or casefold() run set reproduces.
+    must hold its lead and trail. Other names (with a first or last token
+    that holds no run) are searched each with its own pattern at every
+    start. The alternation's choice is then replayed: leftmost start first,
+    then more tokens, more characters, smaller key. The plan behind it is
+    built on the first text. When casefold changes the text's length
+    ("ß" to "ss"), spans are mapped back to the characters of `text` whose
+    folds they cover.
 
     `memo`, when given, maps texts already spotted to their result: a text
     found there is answered from it, and any other text's result is stored
@@ -245,24 +246,20 @@ def find_entity_matches(
         hit = memo.get(text)
         if hit is not None:
             return hit
-    if not catalog.normalized_index:
+    index = catalog.normalized_index
+    if not index:
         return []
-    if text.isascii():
-        spans = _replay_alternation(text, catalog._name_plan())
-    else:
-        spans = [m.span() for m in catalog.matcher().finditer(text)]
-    out = []
-    for start, end in spans:
-        canonical = catalog.normalized_index.get(normalize_name(text[start:end]))
-        if canonical is not None:
-            out.append((canonical, start, end))
+    out = [
+        (index[key], start, end)
+        for key, start, end in _replay_alternation(text, catalog._name_plan())
+    ]
     if memo is not None:
         memo[text] = out
     return out
 
 
-def _replay_alternation(text: str, plan: _NamePlan) -> list[tuple[int, int]]:
-    # best (rank, end) of every start where some name matches
+def _replay_alternation(text: str, plan: _NamePlan) -> list[tuple[str, int, int]]:
+    # best (rank, end) of every start where some name matches; rank[2] is the key
     best: dict[int, tuple[tuple[int, int, str], int]] = {}
 
     def offer(key: str, start: int, end: int) -> None:
@@ -270,7 +267,7 @@ def _replay_alternation(text: str, plan: _NamePlan) -> list[tuple[int, int]]:
         if held is None or rank < held[0]:
             best[start] = (rank, end)
 
-    low = text.lower()
+    low = text.casefold()
     runs = list(_ALNUM_RUN.finditer(low))
     words = [run.group() for run in runs]
     for n in plan.lengths:
@@ -279,30 +276,34 @@ def _replay_alternation(text: str, plan: _NamePlan) -> list[tuple[int, int]]:
             if filed is None:
                 continue
             start, end = runs[i].start(), runs[i + n - 1].end()
-            found = fold_text(text[start:end])
+            found = " ".join(low[start:end].split())
             for key, lead, body, trail in filed:
                 if body != found:
                     continue
                 # lead and trail reach no letter or digit beyond them
                 if lead:
-                    before = text[runs[i - 1].end() if i else 0 : start]
+                    before = low[runs[i - 1].end() if i else 0 : start]
                     if not before.endswith(lead) or (i and len(before) == len(lead)):
                         continue
                 if trail:
                     more = i + n < len(runs)
-                    after = text[end : runs[i + n].start() if more else len(text)]
+                    after = low[end : runs[i + n].start() if more else len(low)]
                     if not after.startswith(trail) or (more and len(after) == len(trail)):
                         continue
                 offer(key, start - len(lead), end + len(trail))
     for key, rx in plan.always:
-        m = rx.search(text)
+        m = rx.search(low)
         while m is not None:
             offer(key, m.start(), m.end())
-            m = rx.search(text, m.start() + 1)
+            m = rx.search(low, m.start() + 1)
     spans = []
     pos = 0
     for start in sorted(best):
         if start >= pos:
-            pos = best[start][1]
-            spans.append((start, pos))
+            rank, pos = best[start]
+            spans.append((rank[2], start, pos))
+    if len(low) != len(text):
+        # the index in `text` of each character of `low`
+        at = [i for i, ch in enumerate(text) for _ in ch.casefold()]
+        spans = [(key, at[start], at[end - 1] + 1) for key, start, end in spans]
     return spans

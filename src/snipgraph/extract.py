@@ -104,25 +104,25 @@ def _escape_pattern(phrase: str) -> str:
     return SPACE_ESCAPE * lead + core + SPACE_ESCAPE * trail
 
 
-def load_patterns(source: IO[str] | Iterable[str], origin: str = "seed") -> list[Pattern]:
+def load_patterns(source: IO[str] | Iterable[str]) -> list[Pattern]:
     """Read one pattern per line; blank lines and `#` comments are skipped.
 
     The sequence `\\s` denotes a space, so a bare `\\s` line is the
     single-space pattern; doubled backslashes encode literal ones.
-    Duplicate keys are dropped, first wins.
+    Duplicate keys are dropped, first wins. Every pattern read is a seed.
     """
     patterns: list[Pattern] = []
     for line in source:
         raw = line.rstrip("\r\n")
         if not raw.strip() or raw.lstrip().startswith("#"):
             continue
-        patterns.append(Pattern(_unescape_pattern(raw), origin))
+        patterns.append(Pattern(_unescape_pattern(raw)))
     return dedupe_patterns(patterns)
 
 
-def load_patterns_file(path: str, origin: str = "seed") -> list[Pattern]:
+def load_patterns_file(path: str) -> list[Pattern]:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_patterns(fh, origin)
+        return load_patterns(fh)
 
 
 def save_patterns(patterns: Iterable[Pattern], fh: IO[str]) -> None:

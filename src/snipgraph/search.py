@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 from typing import IO, Any, Callable, Iterable, Protocol
 from urllib.parse import urlparse
 
-from .catalog import (
-    alnum_runs,
-    fold_text,
-    folded_phrase_test,
-    normalize_name,
-    phrase_regex,
-)
+from .catalog import alnum_runs, fold_text, folded_phrase_test, normalize_name
 
 PAGE_SIZE = 50
 
@@ -372,28 +366,23 @@ def parse_query_terms(raw: str) -> list[str]:
 
 class ReplayBackend:
     """Serves a fixed corpus: a snippet matches a query when every quoted
-    phrase occurs in its text (token-bounded, any case). Bare tokens outside
-    quotes are ignored, the way a broad-match term barely constrains a
-    web-scale index.
+    phrase occurs in its text (token-bounded, compared casefolded). Bare
+    tokens outside quotes are ignored, the way a broad-match term barely
+    constrains a web-scale index.
 
     Results keep corpus insertion order, which stands in for search-engine
     ranking and makes replay runs fully deterministic.
 
-    Only candidate records are tested against the phrases. When every quoted
-    phrase is ASCII and the phrases hold an alnum run, the candidates are the
-    ASCII records holding every run of every phrase, found by intersecting
-    the posting lists of an inverted index from run to record, shortest
-    first, plus every non-ASCII record. The index is built on the first query
-    that uses it, in one pass that also keeps each ASCII record's folded text
-    (`catalog.fold_text`). An ASCII candidate is then checked by
+    Only candidate records are tested against the phrases: those holding
+    every alnum run of every phrase, found by intersecting the posting lists
+    of an inverted index from run to record, shortest first, or every record
+    when the phrases hold no run. The index is built on the first query, in
+    one pass that also keeps each record's folded text (`catalog.fold_text`:
+    casefolded, each whitespace run one space). A candidate is then checked by
     `catalog.folded_phrase_test`, one str.find per phrase in its folded text,
-    with no regex compiled. A non-ASCII candidate is checked with
-    `phrase_regex`, and is never ruled out by the index, because
-    re.IGNORECASE lets an ASCII phrase match "İ", "ı", "ſ" or the Kelvin sign
-    in it, which neither its lowercased runs nor its folded text show. A
-    query with a non-ASCII phrase, or whose phrases hold no run, checks the
-    whole corpus with `phrase_regex`. The cost of a query thus grows with the
-    records that can match, not with the corpus.
+    with no regex compiled. So "Strauß" and "STRAUSS" match one phrase, while
+    "İris" and "ıris" do not match "Iris". The cost of a query thus grows
+    with the records that can match, not with the corpus.
 
     Answers are memoised by the quoted phrases, since nothing else in a
     query decides them: `"A" and`, `"A" with` and `"A"` share one scan.
@@ -403,32 +392,25 @@ class ReplayBackend:
         self.records = list(records)
         self._memo: dict[tuple[str, ...], list[CorpusRecord]] = {}
         self._postings: dict[str, list[int]] | None = None
-        self._folded: list[str | None] = []  # None for a non-ASCII record
-        self._non_ascii: list[int] = []
+        self._folded: list[str] = []
 
     def _index(self) -> dict[str, list[int]]:
         if self._postings is None:
             self._postings = {}
             for i, rec in enumerate(self.records):
-                if not rec.text.isascii():
-                    self._folded.append(None)
-                    self._non_ascii.append(i)
-                    continue
                 folded = fold_text(rec.text)
                 self._folded.append(folded)
                 for run in alnum_runs(folded):
                     self._postings.setdefault(run, []).append(i)
         return self._postings
 
-    def _candidates(self, phrases: tuple[str, ...]) -> list[int] | None:
-        """Corpus-ordered indices of the ASCII records holding every run of
-        the phrases, or None when the phrases cannot use the index."""
-        if not all(term.isascii() for term in phrases):
-            return None
+    def _candidates(self, phrases: tuple[str, ...]) -> list[int]:
+        """Corpus-ordered indices of the records holding every run of the
+        phrases; every record when the phrases hold no run."""
+        postings = self._index()
         runs = set().union(*map(alnum_runs, phrases))
         if not runs:
-            return None
-        postings = self._index()
+            return list(range(len(self.records)))
         lists = sorted((postings.get(run, []) for run in runs), key=len)
         hits = set(lists[0])
         for posting in lists[1:]:
@@ -443,18 +425,8 @@ class ReplayBackend:
         if hit is not None:
             return hit
         hits = self._candidates(key)
-        if hits is None:
-            hits, by_regex = [], range(len(self.records))
-        else:
-            folded = self._folded
-            for test in map(folded_phrase_test, key):
-                hits = [i for i in hits if test(folded[i])]
-            by_regex = self._non_ascii
-        if by_regex:
-            needles = [phrase_regex(term) for term in key]
-            hits = sorted(hits + [
-                i for i in by_regex if all(rx.search(self.records[i].text) for rx in needles)
-            ])
+        for test in map(folded_phrase_test, key):
+            hits = [i for i in hits if test(self._folded[i])]
         found = [self.records[i] for i in hits]
         self._memo[key] = found
         return found
@@ -559,7 +531,8 @@ class SearchGateway:
     together with the number of pages that returned results. Duplicate (url,
     text) results are dropped. A failed page is retried with doubling
     backoff, except a FatalTransportError, which is raised at once. The
-    ledger is charged one request per backend call, failed attempts
+    `ledger` (uncapped at first; each `engine.Run` installs its own) is
+    charged one request per backend call, failed attempts
     included, also when the search ends in a TransportError; cache hits are
     free. The gateway never refuses a search: callers check the ledger
     between searches, so a search may overshoot the cap. search_pooled()
@@ -570,12 +543,11 @@ class SearchGateway:
     def __init__(
         self,
         backend: SearchBackend,
-        ledger: BudgetLedger | None = None,
         cache: SnippetCache | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.backend = backend
-        self.ledger = ledger if ledger is not None else BudgetLedger()
+        self.ledger = BudgetLedger()
         self.cache = cache
         self._sleep = sleep
 

@@ -62,7 +62,7 @@ def without_spotting_memo():
 
 @contextmanager
 def spotting_log():
-    """Count the texts handed to find_entity_matches, and the ASCII texts it
+    """Count the texts handed to find_entity_matches, and every text it
     actually spotted (calls of the replayed alternation)."""
     handed: Counter = Counter()
     spotted: Counter = Counter()

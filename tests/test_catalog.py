@@ -6,6 +6,7 @@ from snipgraph.catalog import (
     CatalogLoadError,
     EntityCatalog,
     find_entity_matches,
+    fold_text,
     load_catalog,
     load_catalog_file,
     normalize_name,
@@ -78,7 +79,10 @@ class TestPhraseRegex:
         assert phrase_regex("speaks with").search("speaks \n with")
 
     def test_any_case(self):
-        assert phrase_regex("and").search("AND")
+        # case is matched by folding both sides, not by the regex
+        assert phrase_regex(fold_text("and")).search(fold_text("AND"))
+        assert phrase_regex(fold_text("Strauß")).search(fold_text("STRAUSS"))
+        assert not phrase_regex("and").search("AND")
 
 
 class TestFindEntityMatches:
@@ -102,4 +106,32 @@ class TestFindEntityMatches:
 
     def test_empty_catalog(self):
         assert find_entity_matches("Ada Veil", EntityCatalog()) == []
+
+
+class TestCasefoldedNames:
+    """Names and text are compared by casefold, the fold that keys the catalog."""
+
+    NAMES = ["Johann Strauß", "Anna Weiß"]
+
+    def test_finds_names_spelled_with_eszett(self):
+        hits = find_entity_matches("Johann Strauß und Anna Weiß", make_catalog(self.NAMES))
+        assert [name for name, _s, _e in hits] == self.NAMES
+
+    def test_finds_a_name_by_its_fold(self):
+        hits = find_entity_matches("JOHANN STRAUSS", make_catalog(self.NAMES))
+        assert hits == [("Johann Strauß", 0, 14)]
+
+    @pytest.mark.parametrize(
+        "text, spelled",
+        [
+            ("Johann Strauß und Anna Weiß", ["Johann Strauß", "Anna Weiß"]),
+            ("ßx Johann Strauß", ["Johann Strauß"]),
+            ("\ufb01ne, Anna Weiß", ["Anna Weiß"]),
+            ("ß ß Anna WEISS and Johann Strauß", ["Anna WEISS", "Johann Strauß"]),
+        ],
+        ids=["two-names", "eszett-before", "ligature-before", "upper-after-eszetts"],
+    )
+    def test_spans_are_the_spelled_names(self, text, spelled):
+        hits = find_entity_matches(text, make_catalog(self.NAMES))
+        assert [text[start:end] for _name, start, end in hits] == spelled
 

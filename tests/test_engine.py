@@ -510,6 +510,19 @@ class TestSpottingMemo:
             assert sum(handed.values()) > len(handed)
             assert spotted == Counter(dict.fromkeys(handed, 1))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_respelled_names_keep_every_planted_edge(self, seed):
+        # "Kai Strauß Jr." is keyed "kai strauss jr." and spelled with "ß" in the text
+        corpus = synthesize(n_nodes=30, attach=3, noise_ratio=1.0, seed=seed)
+        records, names = respell(corpus)
+        spelled = dict(zip(corpus.names, names))
+        config = RunConfig(seeds=(names[0],), mode=MODE_PRIO, alpha=0.01)
+        gateway = SearchGateway(ReplayBackend(records))
+        graph, _ = expand_static(config, gateway, make_catalog(names))
+        planted = [(spelled[a], spelled[b]) for a, b, _w in corpus.truth_edges]
+        assert len(planted) == 84
+        assert [edge for edge in planted if not graph.has_edge(*edge)] == []
+
     def test_name_added_between_runs_is_found(self):
         builder = chain_corpus().pair(C, "Gus Ward", times=2)
         gateway = builder.gateway()

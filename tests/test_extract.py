@@ -67,10 +67,6 @@ class TestPatternFiles:
         back = load_patterns(["and\n", " and \n"])
         assert [p.phrase for p in back] == ["and"]
 
-    def test_origin_applied(self):
-        [pat] = load_patterns(["meets\n"], origin="mined")
-        assert pat.origin == "mined"
-
 
 ALL_PATTERNS = [Pattern(p) for p in DEFAULT_MATCH_PATTERNS]
 

@@ -323,13 +323,15 @@ class TestSearchGateway:
     def test_searches_on_exhausted_ledger(self):
         ledger = BudgetLedger(max_requests=1)
         ledger.charge("warmup", 1)
-        gateway = SearchGateway(ReplayBackend(matching_records(1)), ledger=ledger)
+        gateway = SearchGateway(ReplayBackend(matching_records(1)))
+        gateway.ledger = ledger
         snippets, spent = gateway.search(self.query(), k=5)
         assert len(snippets) == 1 and spent == 1
 
     def test_in_flight_search_may_overshoot(self):
         ledger = BudgetLedger(max_requests=1)
-        gateway = SearchGateway(ReplayBackend(matching_records(60)), ledger=ledger)
+        gateway = SearchGateway(ReplayBackend(matching_records(60)))
+        gateway.ledger = ledger
         _snippets, spent = gateway.search(self.query(), k=200)
         assert spent == 2
         assert ledger.used_requests == 2
