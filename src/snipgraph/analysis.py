@@ -255,7 +255,8 @@ def baseline_pairwise(
     so coverage spreads until the pool drains, the request budget runs out,
     or max_entities entities have been processed. Each distinct snippet text
     is spotted once per call, through a spotting memo that find_entity_matches
-    fills.
+    fills, and a name's single query is sent once: a repeat is answered from
+    the run's memo (a cached ledger row, no request).
     """
     if not 0 < t < 1:
         raise ValueError("threshold t must satisfy 0 < t < 1")
@@ -268,26 +269,19 @@ def baseline_pairwise(
     if not seeds:
         raise ValueError("at least one seed entity is required")
 
-    run = Run(seeds, gateway, catalog, max_requests)
+    run = Run(seeds, gateway, catalog, max_requests, k)
     pool = list(run.seeds)
     pooled = set(pool)
-    singles: dict[str, list[CorpusRecord] | None] = {}
     scored: set[tuple[str, str]] = set()
     stopped = FRONTIER_EMPTY
     complete = True
 
     def fetch_single(name: str) -> list[CorpusRecord] | None:
         """Snippets for `"name"` alone; None when the name is unqueryable."""
-        if name in singles:
-            return singles[name]
         try:
-            query = entity_query(name)
+            return run.search(entity_query(name))
         except QueryError:
-            singles[name] = None
             return None
-        snippets, _ = gateway.search(query, k)
-        singles[name] = snippets
-        return snippets
 
     try:
         # the pool grows while it is walked: candidates join at its end
@@ -326,7 +320,7 @@ def baseline_pairwise(
                     budget_hit = True
                     break
                 scored.add(pair)
-                pair_snips, _ = gateway.search(pair_query(pair[0], pair[1]), k)
+                pair_snips = run.search(pair_query(pair[0], pair[1]))
                 score = overlap_coefficient(len(pair_snips), len(snippets), len(other))
                 if score > t:
                     for name in pair:

@@ -10,10 +10,10 @@ expand_with_pattern_mining wraps the same loop in iterations. After each
 frontier exhaustion it issues pair queries over the heaviest edges, scores
 the phrases found between entities, and admits high-scoring ones as new
 patterns (queryable ones also join the query set). Each entity/pattern
-combination is queried at most once per run, and each pair query is sent at
-most once per run: a mining pass that meets an edge an earlier pass already
-pair-queried takes its snippets from the run's memo for no request. Later
-iterations thus only spend requests on what the new patterns unlock.
+combination is queried at most once per run, and no query is sent twice in
+one run: a mining pass that meets an edge an earlier pass already
+pair-queried takes its snippets from the run's answer memo for no request.
+Later iterations thus only spend requests on what the new patterns unlock.
 """
 
 from __future__ import annotations
@@ -145,7 +145,6 @@ class RunReport:
     steps: list[StepRecord] = field(default_factory=list)
     iterations: list[IterationRecord] = field(default_factory=list)
     patterns: list[Pattern] = field(default_factory=list)
-    query_patterns: list[Pattern] = field(default_factory=list)
     nodes_found: int = 0
     edges_found: int = 0
     requests_used: int = 0
@@ -202,8 +201,9 @@ def canonical_seeds(seeds: Iterable[str], catalog: EntityCatalog) -> list[str]:
 
 class Run:
     """What every graph-growing run shares: a fresh request ledger installed
-    in the gateway, a graph seeded with the canonical seeds, the spotting
-    memo, and one StepRecord per expanded entity."""
+    in the gateway, the answer memo of every query searched at depth k, a
+    graph seeded with the canonical seeds, the spotting memo, and one
+    StepRecord per expanded entity."""
 
     def __init__(
         self,
@@ -211,9 +211,13 @@ class Run:
         gateway: SearchGateway,
         catalog: EntityCatalog,
         max_requests: int | None,
+        k: int,
     ) -> None:
         self.gateway = gateway
         self.catalog = catalog
+        self.k = k
+        # snippets of every query searched so far, by Query.cache_key
+        self.answers: dict[str, list[CorpusRecord]] = {}
         self.ledger = BudgetLedger(max_requests)
         gateway.ledger = self.ledger
         self.graph = SocialGraph()
@@ -223,6 +227,32 @@ class Run:
         # find_entity_matches results by text; the catalog is fixed for a run
         self.spotted: dict[str, list[tuple[str, int, int]]] = {}
         self.steps: list[StepRecord] = []
+
+    def search(self, query: Query) -> list[CorpusRecord]:
+        """Up to k snippets for `query`. A query this run already searched
+        is answered from its memo for no request (the ledger logs a cached
+        entry); any other goes to the gateway and its answer is kept."""
+        snippets = self.answers.get(query.cache_key)
+        if snippets is not None:
+            self.ledger.note_cached(query.raw, kind=query.kind, snippets=len(snippets))
+            return snippets
+        snippets, _ = self.gateway.search(query, self.k)
+        self.answers[query.cache_key] = snippets
+        return snippets
+
+    def search_pooled(self, queries: Iterable[Query]) -> list[CorpusRecord]:
+        """Search each query in turn and pool the results, keeping the first
+        copy of each (url, text) in the order first seen. `queries` is consumed
+        lazily, so a generator can check state between searches."""
+        pooled: list[CorpusRecord] = []
+        seen: set[tuple[str, str]] = set()
+        for query in queries:
+            for snippet in self.search(query):
+                key = (snippet.url, snippet.text)
+                if key not in seen:
+                    seen.add(key)
+                    pooled.append(snippet)
+        return pooled
 
     def record_step(
         self,
@@ -268,7 +298,7 @@ class _Run(Run):
         catalog: EntityCatalog,
     ) -> None:
         config.validate()
-        super().__init__(config.seeds, gateway, catalog, config.max_requests)
+        super().__init__(config.seeds, gateway, catalog, config.max_requests, config.k)
         self.config = config
         self.query_patterns = dedupe_patterns(
             Pattern(p, "seed") for p in config.query_patterns
@@ -281,8 +311,6 @@ class _Run(Run):
         self.iterations: list[IterationRecord] = []
         self.queried: set[tuple[str, str]] = set()
         self.dead: set[str] = set()
-        # answers to the pair queries sent so far, all at depth config.k
-        self.pair_answers: dict[str, list[CorpusRecord]] = {}
 
     def new_frontier(self) -> Frontier:
         mode = PRIORITY if self.config.mode == MODE_PRIO else FIFO
@@ -301,7 +329,7 @@ class _Run(Run):
     def expand_entity(self, entity: str) -> StepRecord:
         """Query every pending pattern for one entity and merge the evidence.
 
-        The per-pattern results are pooled by the gateway, so a snippet
+        The per-pattern results are pooled by the run, so a snippet
         returned by several of this entity's queries counts once. A later
         revisit (new patterns admitted by mining) pools afresh: its
         extraction pass runs under the grown match set, which is what lets
@@ -319,7 +347,7 @@ class _Run(Run):
                     return
                 yield query
 
-        pooled = self.gateway.search_pooled(queries(), self.config.k)
+        pooled = self.search_pooled(queries())
         evidence = extract_edges(pooled, self.catalog, self.match_patterns, self.spotted)
         new_nodes, new_edges = self.graph.merge_evidence(evidence, self.config.tau)
         return self.record_step(entity, len(pooled), new_nodes, new_edges)
@@ -344,7 +372,6 @@ class _Run(Run):
         report = super().report(stopped_reason, complete)
         report.iterations = self.iterations
         report.patterns = list(self.match_patterns)
-        report.query_patterns = list(self.query_patterns)
         return report
 
 
@@ -378,9 +405,9 @@ def _mine_patterns(run: _Run) -> tuple[int, list[PatternCandidate], list[Pattern
     Returns (pair queries issued, candidates, admitted patterns). The budget
     is checked before each pair query; candidates are scored over whatever
     was fetched before the cutoff. A pair query an earlier pass already sent
-    is answered from `run.pair_answers` for no request, so the candidates
-    are those of a pass that sent every query afresh. The count issued
-    includes those memo answers.
+    is answered from the run's memo for no request, so the candidates are
+    those of a pass that sent every query afresh. The count issued includes
+    those memo answers.
     """
     config = run.config
     issued = 0
@@ -397,7 +424,7 @@ def _mine_patterns(run: _Run) -> tuple[int, list[PatternCandidate], list[Pattern
             issued += 1
             yield query
 
-    pooled = run.gateway.search_pooled(queries(), config.k, run.pair_answers)
+    pooled = run.search_pooled(queries())
     candidates = extract_pattern_candidates(pooled, run.catalog, memo=run.spotted)
     known = {p.key for p in run.match_patterns}
     admitted: list[Pattern] = []

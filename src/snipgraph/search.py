@@ -535,9 +535,9 @@ class SearchGateway:
     charged one request per backend call, failed attempts
     included, also when the search ends in a TransportError; cache hits are
     free. The gateway never refuses a search: callers check the ledger
-    between searches, so a search may overshoot the cap. search_pooled()
-    pools several queries under the same (url, text) rule and can answer a
-    repeated query from a caller's memo for no request.
+    between searches, so a search may overshoot the cap. Every search it is
+    asked for is run; pooling several queries and answering a repeated one
+    for no request are the run's (`engine.Run.search_pooled`, `Run.search`).
     """
 
     def __init__(
@@ -609,36 +609,3 @@ class SearchGateway:
         if self.cache is not None:
             self.cache.put(query, result, k)
         return result, spent
-
-    def search_pooled(
-        self,
-        queries: Iterable[Query],
-        k: int,
-        answers: dict[str, list[CorpusRecord]] | None = None,
-    ) -> list[CorpusRecord]:
-        """Search each query in turn and pool the results, keeping the first
-        copy of each (url, text) in the order first seen.
-
-        `queries` is consumed lazily, one item per search, so a generator
-        can check the ledger or record state between searches. `answers`,
-        when given, is a memo keyed by Query.cache_key that the caller keeps
-        across calls with one k: a query already in it is answered from it
-        for no request (the ledger logs a cached entry), and every query
-        searched is stored in it.
-        """
-        pooled: list[CorpusRecord] = []
-        seen: set[tuple[str, str]] = set()
-        for query in queries:
-            if answers is not None and query.cache_key in answers:
-                snippets = answers[query.cache_key]
-                self.ledger.note_cached(query.raw, kind=query.kind, snippets=len(snippets))
-            else:
-                snippets, _ = self.search(query, k)
-                if answers is not None:
-                    answers[query.cache_key] = snippets
-            for snippet in snippets:
-                key = (snippet.url, snippet.text)
-                if key not in seen:
-                    seen.add(key)
-                    pooled.append(snippet)
-        return pooled

@@ -26,7 +26,7 @@ from snipgraph.analysis import (
 )
 from snipgraph.corpus import synthesize
 from snipgraph.graph import SocialGraph
-from snipgraph.search import ReplayBackend, SearchGateway, requests_for
+from snipgraph.search import ENTITY, ReplayBackend, SearchGateway, requests_for
 
 from conftest import (
     CorpusBuilder,
@@ -317,6 +317,24 @@ class TestBaselinePairwise:
         assert [s.entity for s in report.steps] == [A, B]
         assert report.stopped_reason == "frontier-empty"
         assert report.complete
+
+    def test_repeated_single_queries_are_logged_cached(self):
+        corpus = synthesize(n_nodes=30, attach=3, noise_ratio=1.0, seed=2)
+        gateway = SearchGateway(ReplayBackend(corpus.records))
+        _graph, report = baseline_pairwise(
+            (corpus.names[0],), gateway, make_catalog(corpus.names)
+        )
+        log = gateway.ledger.log
+        sent = set()
+        for entry in log:
+            # no disk cache: a row is cached exactly when it repeats a query
+            assert entry.cached == (entry.raw in sent)
+            if entry.cached:
+                assert (entry.kind, entry.requests) == (ENTITY, 0)
+            sent.add(entry.raw)
+        assert sum(e.cached for e in log) == 84
+        assert sum(not e.cached for e in log) == report.queries_issued
+        assert sum(e.requests for e in log) == report.requests_used
 
     def test_threshold_is_strict(self):
         builder = CorpusBuilder()

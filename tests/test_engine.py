@@ -18,6 +18,7 @@ from snipgraph.engine import (
     MODE_PATTERN_ITER,
     MODE_PRIO,
     TRANSPORT,
+    Run,
     RunConfig,
     expand_static,
     expand_with_pattern_mining,
@@ -326,17 +327,15 @@ class TestPatternMining:
         assert graph.weight(A, B) == 20
 
     def test_admitted_queryable_pattern_joins_query_set(self):
-        _graph, report, _patterns, gateway = run_mining(mining_corpus())
-        assert "beside" in [p.phrase for p in report.query_patterns]
+        _graph, _report, _patterns, gateway = run_mining(mining_corpus())
         assert f'"{A}" beside' in [entry.raw for entry in gateway.ledger.log]
 
     def test_admitted_unqueryable_pattern_matches_only(self):
         builder = CorpusBuilder()
         builder.pair(A, B, times=2)
         builder.pair(A, B, phrase="& guest", times=6)
-        _graph, report, patterns, gateway = run_mining(builder)
+        _graph, _report, patterns, gateway = run_mining(builder)
         assert "& guest" in [p.phrase for p in patterns]
-        assert "& guest" not in [p.phrase for p in report.query_patterns]
         assert all("& guest" not in entry.raw for entry in gateway.ledger.log)
 
     def test_pattern_set_grows_monotonically(self):
@@ -398,11 +397,11 @@ class TestPatternMining:
         assert from_iterations == report.steps
 
 
-class NoMemoGateway(SearchGateway):
-    """Oracle for the pair-query memo: sends every pair query afresh."""
-
-    def search_pooled(self, queries, k, answers=None):
-        return super().search_pooled(queries, k)
+def no_memo_search(self, query):
+    """Oracle for the run's answer memo, patched over Run.search: sends
+    every query afresh."""
+    snippets, _ = self.gateway.search(query, self.k)
+    return snippets
 
 
 class CountingBackend(ReplayBackend):
@@ -419,9 +418,9 @@ class CountingBackend(ReplayBackend):
 
 class TestPairQueryMemo:
     @staticmethod
-    def run(corpus, gateway_cls):
+    def run(corpus):
         backend = CountingBackend(corpus.records)
-        gateway = gateway_cls(backend)
+        gateway = SearchGateway(backend)
         config = RunConfig(seeds=tuple(corpus.names[:1]), mode=MODE_PATTERN_ITER)
         graph, report, patterns = expand_with_pattern_mining(
             config, gateway, make_catalog(corpus.names)
@@ -431,7 +430,7 @@ class TestPairQueryMemo:
         return graph, report, patterns, pair_fetches
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
-    def test_memo_run_equals_resending_run(self, seed):
+    def test_memo_run_equals_resending_run(self, seed, monkeypatch):
         corpus = synthesize(
             n_nodes=40,
             attach=3,
@@ -439,8 +438,9 @@ class TestPairQueryMemo:
             noise_ratio=1.0,
             seed=seed,
         )
-        graph, report, patterns, pair_fetches = self.run(corpus, SearchGateway)
-        o_graph, o_report, o_patterns, o_pair_fetches = self.run(corpus, NoMemoGateway)
+        graph, report, patterns, pair_fetches = self.run(corpus)
+        monkeypatch.setattr(Run, "search", no_memo_search)
+        o_graph, o_report, o_patterns, o_pair_fetches = self.run(corpus)
 
         assert sorted(graph.edges()) == sorted(o_graph.edges())
         without_requests = [
@@ -464,6 +464,27 @@ class TestPairQueryMemo:
         assert report.requests_used < o_report.requests_used
         assert pair_fetches and max(pair_fetches) == 1
         assert max(o_pair_fetches) > 1
+
+
+class TestAnswerMemo:
+    def test_case_variant_patterns_share_one_search(self):
+        corpus = synthesize(n_nodes=30, attach=3, noise_ratio=1.0, seed=2)
+
+        def run(query_patterns):
+            gateway = SearchGateway(ReplayBackend(corpus.records))
+            config = RunConfig(seeds=(corpus.names[0],), query_patterns=query_patterns)
+            graph, report = expand_static(config, gateway, make_catalog(corpus.names))
+            trace = io.StringIO()
+            write_trace_csv(report, trace)
+            return sorted(graph.edges()), trace.getvalue(), report, gateway.ledger.log
+
+        edges, trace, report, log = run(("and", "And"))
+        want_edges, want_trace, want, _log = run(("and",))
+        assert edges == want_edges
+        assert trace == want_trace
+        # `"X" And` shares `"X" and`'s cache key, so the memo answers it
+        assert report.requests_used == want.requests_used == 30
+        assert [e.cached for e in log if e.raw.endswith(" And")] == [True] * 30
 
 
 MINED = {"and": 3, "performs beside": 2, "dines with": 1}

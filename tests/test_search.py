@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snipgraph import search
+from snipgraph.engine import Run
 from snipgraph.search import (
     PAGE_SIZE,
     BudgetLedger,
@@ -40,7 +41,7 @@ from snipgraph.search import (
     write_query_log,
 )
 
-from conftest import CorpusBuilder
+from conftest import CorpusBuilder, make_catalog
 
 
 class TestQueryBuilding:
@@ -337,15 +338,18 @@ class TestSearchGateway:
         assert ledger.used_requests == 2
 
 
+def pooling_run(gateway):
+    """A run over `gateway` that searches at depth 10."""
+    return Run(("Ada Veil",), gateway, make_catalog(), None, 10)
+
+
 class TestSearchPooled:
     def test_shared_snippet_kept_once_with_first_rank(self):
         builder = CorpusBuilder()
         builder.add("Bo Quist meets Ada Veil")
         builder.add("Ada Veil and Bo Quist")
-        gateway = builder.gateway()
-        pooled = gateway.search_pooled(
-            [entity_query("Bo Quist"), entity_query("Ada Veil")], k=10
-        )
+        run = pooling_run(builder.gateway())
+        pooled = run.search_pooled([entity_query("Bo Quist"), entity_query("Ada Veil")])
         assert [s.text for s in pooled] == [
             "Bo Quist meets Ada Veil",
             "Ada Veil and Bo Quist",
@@ -353,6 +357,7 @@ class TestSearchPooled:
 
     def test_queries_consumed_lazily(self):
         gateway = SearchGateway(ReplayBackend(matching_records(3)))
+        run = pooling_run(gateway)
         seen_used = []
 
         def queries():
@@ -360,11 +365,12 @@ class TestSearchPooled:
                 seen_used.append(gateway.ledger.used_requests)
                 yield connectivity_query("Ada Veil", phrase)
 
-        gateway.search_pooled(queries(), k=10)
+        run.search_pooled(queries())
         assert seen_used == [0, 1, 2]
 
     def test_stopped_generator_issues_no_further_search(self):
         gateway = SearchGateway(ReplayBackend(matching_records(3)))
+        run = pooling_run(gateway)
 
         def queries():
             yield connectivity_query("Ada Veil", "and")
@@ -372,7 +378,7 @@ class TestSearchPooled:
                 return
             yield connectivity_query("Ada Veil", "meets")
 
-        pooled = gateway.search_pooled(queries(), k=10)
+        pooled = run.search_pooled(queries())
         assert len(pooled) == 3
         assert gateway.ledger.queries_issued == 1
         assert [e.raw for e in gateway.ledger.log] == ['"Ada Veil" and']
@@ -380,16 +386,12 @@ class TestSearchPooled:
     def test_memo_answers_a_repeat_for_no_request(self):
         backend = FlakyBackend(matching_records(3), failures=0)
         gateway = SearchGateway(backend)
-        answers = {}
-        first = gateway.search_pooled(
-            [connectivity_query("Ada Veil", "and")], k=10, answers=answers
-        )
+        run = pooling_run(gateway)
+        first = run.search_pooled([connectivity_query("Ada Veil", "and")])
         assert backend.calls == 1
         # same cache key, then a new query: only the new one reaches fetch
-        again = gateway.search_pooled(
-            [connectivity_query("ada  VEIL", "and"), connectivity_query("Ada Veil", "with")],
-            k=10,
-            answers=answers,
+        again = run.search_pooled(
+            [connectivity_query("ada  VEIL", "and"), connectivity_query("Ada Veil", "with")]
         )
         assert backend.calls == 2
         assert again == first
@@ -400,7 +402,7 @@ class TestSearchPooled:
             ('"ada  VEIL" and', 0, True, 3),
             ('"Ada Veil" with', 1, False, 3),
         ]
-        assert sorted(answers) == ['"ada veil" and', '"ada veil" with']
+        assert sorted(run.answers) == ['"ada veil" and', '"ada veil" with']
 
 
 class FlakyBackend:
