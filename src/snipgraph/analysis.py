@@ -20,10 +20,10 @@ from .engine import BUDGET, FRONTIER_EMPTY, TRANSPORT, Run, RunReport
 from .graph import SocialGraph
 from .search import (
     CorpusRecord,
-    QueryError,
     SearchGateway,
     TransportError,
     entity_query,
+    is_queryable_phrase,
     pair_query,
 )
 from .stemming import porter_stem
@@ -278,10 +278,9 @@ def baseline_pairwise(
 
     def fetch_single(name: str) -> list[CorpusRecord] | None:
         """Snippets for `"name"` alone; None when the name is unqueryable."""
-        try:
-            return run.search(entity_query(name))
-        except QueryError:
+        if not is_queryable_phrase(name):
             return None
+        return run.search(entity_query(name))
 
     try:
         # the pool grows while it is walked: candidates join at its end

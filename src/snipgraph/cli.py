@@ -269,7 +269,8 @@ def _finish_run(
     print(f"wrote {prefix}.edges ({report.edges_found} edges, {report.nodes_found} nodes)")
     print(f"wrote {prefix}.trace.csv ({len(report.steps)} steps)")
     print(f"wrote {prefix}.summary.txt (stopped: {report.stopped_reason})")
-    print(f"wrote {prefix}.queries.tsv ({len(query_log)} queries)")
+    cached = sum(e.cached for e in query_log)
+    print(f"wrote {prefix}.queries.tsv ({len(query_log)} rows, {cached} cached)")
     if patterns is not None:
         save_patterns_file(patterns, prefix + ".patterns.txt")
         print(f"wrote {prefix}.patterns.txt ({len(patterns)} patterns)")

@@ -5,6 +5,8 @@ pop an entity, issue one connectivity query per query pattern, extract
 pattern-connected pairs from the pooled snippets, merge them under the tau
 threshold, and enqueue newly discovered entities. The request budget is
 checked after each expanded entity, so the final entity may overshoot it.
+An entity whose name cannot be quoted (`search.is_queryable_phrase`) is
+expanded once, as a step with no query.
 
 expand_with_pattern_mining wraps the same loop in iterations. After each
 frontier exhaustion it issues pair queries over the heaviest edges, scores
@@ -40,7 +42,6 @@ from .search import (
     BudgetLedger,
     CorpusRecord,
     Query,
-    QueryError,
     SearchGateway,
     TransportError,
     connectivity_query,
@@ -300,9 +301,8 @@ class _Run(Run):
         config.validate()
         super().__init__(config.seeds, gateway, catalog, config.max_requests, config.k)
         self.config = config
-        self.query_patterns = dedupe_patterns(
-            Pattern(p, "seed") for p in config.query_patterns
-        )
+        seeded = dedupe_patterns(Pattern(p, "seed") for p in config.query_patterns)
+        self.query_patterns = [p for p in seeded if is_queryable_phrase(p.phrase)]
         # queries also match, so the effective match set covers both lists
         self.match_patterns = dedupe_patterns(
             Pattern(p, "seed")
@@ -310,21 +310,12 @@ class _Run(Run):
         )
         self.iterations: list[IterationRecord] = []
         self.queried: set[tuple[str, str]] = set()
-        self.dead: set[str] = set()
-
-    def new_frontier(self) -> Frontier:
-        mode = PRIORITY if self.config.mode == MODE_PRIO else FIFO
-        return Frontier(mode, self.config.alpha)
 
     def pending_patterns(self, entity: str) -> list[Pattern]:
-        return [
-            p
-            for p in self.query_patterns
-            if is_queryable_phrase(p.phrase) and (entity, p.key) not in self.queried
-        ]
-
-    def has_pending(self, entity: str) -> bool:
-        return entity not in self.dead and bool(self.pending_patterns(entity))
+        """Query patterns not yet sent for `entity`; none if it cannot be quoted."""
+        if not is_queryable_phrase(entity):
+            return []
+        return [p for p in self.query_patterns if (entity, p.key) not in self.queried]
 
     def expand_entity(self, entity: str) -> StepRecord:
         """Query every pending pattern for one entity and merge the evidence.
@@ -334,30 +325,26 @@ class _Run(Run):
         revisit (new patterns admitted by mining) pools afresh: its
         extraction pass runs under the grown match set, which is what lets
         admitted patterns contribute edges. An entity whose name cannot be
-        queried is marked dead.
+        quoted has no pending pattern: its step sends no query and records
+        0 snippets.
         """
-
-        def queries() -> Iterator[Query]:
-            for pat in self.pending_patterns(entity):
-                self.queried.add((entity, pat.key))
-                try:
-                    query = connectivity_query(entity, pat.phrase)
-                except QueryError:
-                    self.dead.add(entity)
-                    return
-                yield query
-
-        pooled = self.search_pooled(queries())
+        pending = self.pending_patterns(entity)
+        self.queried.update((entity, p.key) for p in pending)
+        pooled = self.search_pooled(connectivity_query(entity, p.phrase) for p in pending)
         evidence = extract_edges(pooled, self.catalog, self.match_patterns, self.spotted)
         new_nodes, new_edges = self.graph.merge_evidence(evidence, self.config.tau)
         return self.record_step(entity, len(pooled), new_nodes, new_edges)
 
-    def run_frontier(self, frontier: Frontier) -> str | None:
-        """Expand until the frontier drains; returns a stop reason or None.
-
-        The budget is checked after each expanded entity, never before, so
-        the final entity's queries may overshoot the cap.
-        """
+    def run_frontier(self, names: Iterable[str]) -> str | None:
+        """Expand `names`, which enter a FIFO (in prio mode, PRIORITY)
+        frontier at the current step, and every entity they discover, until
+        the frontier drains; returns a stop reason or None. The budget is
+        checked after each expanded entity, never before, so the final
+        entity's queries may overshoot the cap."""
+        mode = PRIORITY if self.config.mode == MODE_PRIO else FIFO
+        frontier = Frontier(mode, self.config.alpha)
+        for name in names:
+            frontier.push(name, len(self.steps))
         while True:
             entry = frontier.pop_next(self.graph, len(self.steps))
             if entry is None:
@@ -389,11 +376,8 @@ def expand_static(
     if config.mode not in (MODE_BF, MODE_PRIO):
         raise ValueError("expand_static requires mode bf or prio")
     run = _Run(config, gateway, catalog)
-    frontier = run.new_frontier()
-    for seed in run.seeds:
-        frontier.push(seed, 0)
     try:
-        stop = run.run_frontier(frontier)
+        stop = run.run_frontier(run.seeds)
     except TransportError:
         return run.graph, run.report(TRANSPORT, complete=False)
     return run.graph, run.report(stop or FRONTIER_EMPTY, complete=True)
@@ -417,12 +401,9 @@ def _mine_patterns(run: _Run) -> tuple[int, list[PatternCandidate], list[Pattern
         for a, b, _w in run.graph.top_edges(config.h):
             if run.ledger.exhausted:
                 return
-            try:
-                query = pair_query(a, b)
-            except QueryError:
-                continue
-            issued += 1
-            yield query
+            if is_queryable_phrase(a) and is_queryable_phrase(b):
+                issued += 1
+                yield pair_query(a, b)
 
     pooled = run.search_pooled(queries())
     candidates = extract_pattern_candidates(pooled, run.catalog, memo=run.spotted)
@@ -460,12 +441,10 @@ def expand_with_pattern_mining(
     complete = True
     for index in range(1, config.max_iterations + 1):
         first_step = len(run.steps)
-        frontier = run.new_frontier()
-        for name in run.graph.nodes():
-            if run.has_pending(name):
-                frontier.push(name, first_step)
+        # the first round expands every seed (the only nodes), as expand_static does
+        names = [n for n in run.graph.nodes() if index == 1 or run.pending_patterns(n)]
         try:
-            if run.run_frontier(frontier) == BUDGET:
+            if run.run_frontier(names) == BUDGET:
                 stopped = BUDGET
                 break
             issued, candidates, admitted = _mine_patterns(run)

@@ -89,11 +89,8 @@ class Query:
 
 
 def _quoted(term: str, role: str) -> str:
-    if not term.strip():
-        raise QueryError(f"{role} is empty")
-    if '"' in term:
-        raise QueryError(f"{role} contains a quote character: {term!r}")
-    validate_query_text(term)
+    if not is_queryable_phrase(term):
+        raise QueryError(f"{role} cannot be quoted in a query: {term!r}")
     return f'"{term}"'
 
 
@@ -594,7 +591,9 @@ class SearchGateway:
                     if key in seen:
                         continue
                     seen.add(key)
-                    collected.append(CorpusRecord(rec.url, rec.domain.lower(), rec.text))
+                    if rec.domain != rec.domain.lower():
+                        rec = CorpusRecord(rec.url, rec.domain.lower(), rec.text)
+                    collected.append(rec)
                 if len(page) < PAGE_SIZE or len(collected) >= k:
                     break
             result = collected[:k]

@@ -152,7 +152,8 @@ class TestMinePatterns:
         pair = f'"{A}" "{B}"'
         # two mining passes pair-query the one edge; the second is a memo hit
         assert [r[2:5] for r in rows if r[0] == pair] == [["1", "0", "0"], ["0", "0", "1"]]
-        assert f"run.queries.tsv ({len(rows)} queries)" in capsys.readouterr().out
+        cached = sum(r[4] == "1" for r in rows)
+        assert f"run.queries.tsv ({len(rows)} rows, {cached} cached)" in capsys.readouterr().out
 
     def test_reruns_write_identical_files(self, mining_workspace):
         ws = mining_workspace

@@ -372,6 +372,46 @@ class TestPatternMining:
         assert graph.has_node(D)
         assert report.iterations[1].node_count > report.iterations[0].node_count
 
+    def test_unqueryable_name_found_mid_run(self):
+        duo = "Duo & Co"
+        builder = CorpusBuilder()
+        builder.pair(A, B, times=2)
+        builder.pair(A, duo, times=2)
+        for i in range(3):
+            builder.pair(A, B, phrase="beside", domain=f"c{i}.example")
+            builder.pair(B, C, phrase="beside", domain=f"c{i}.example")
+        config = RunConfig(seeds=(A,), mode=MODE_PATTERN_ITER)
+        gateway = builder.gateway()
+        graph, report, _patterns = expand_with_pattern_mining(
+            config, gateway, make_catalog([A, B, C, duo])
+        )
+        first, second = report.iterations[:2]
+        assert [(s.entity, s.snippet_count) for s in first.steps] == [
+            (A, 7),
+            (B, 8),
+            (duo, 0),
+        ]
+        assert [p.phrase for p in first.admitted] == ["beside"]
+        assert [s.entity for s in second.steps] == [A, B, C]
+        assert len(gateway.ledger.log) == 9
+        assert all(duo not in entry.raw for entry in gateway.ledger.log)
+        assert graph.weight(A, duo) == 4
+
+    def test_unqueryable_seed_expanded_once_as_in_static(self):
+        duo = "Duo & Co"
+        catalog = make_catalog([A, B, duo])
+        builder = CorpusBuilder()
+        builder.pair(A, B, times=2)
+        config = RunConfig(seeds=(duo, A), mode=MODE_PATTERN_ITER)
+        _graph, report, _patterns = expand_with_pattern_mining(
+            config, builder.gateway(), catalog
+        )
+        static_config = dataclasses.replace(config, mode=MODE_BF)
+        _graph, static_report = expand_static(static_config, builder.gateway(), catalog)
+        steps = [(s.entity, s.snippet_count) for s in report.steps]
+        assert steps == [(duo, 0), (A, 2), (B, 2)]
+        assert steps == [(s.entity, s.snippet_count) for s in static_report.steps]
+
     def test_budget_cuts_mining_pass(self):
         builder = CorpusBuilder()
         builder.pair(A, B, times=2)

@@ -89,6 +89,29 @@ def test_is_queryable_phrase(phrase, queryable):
     assert is_queryable_phrase(phrase) is queryable
 
 
+query_terms = st.text(alphabet='ab \t"&,+-', max_size=8)
+
+
+def raises_query_error(build, *args):
+    try:
+        build(*args)
+    except QueryError:
+        return True
+    return False
+
+
+@given(query_terms, query_terms)
+@example("a", " ")
+@example("a+b", "a")
+@example('"', "\t")
+def test_builders_reject_exactly_the_unqueryable_names(a, b):
+    """Every builder quotes a name through one rule: is_queryable_phrase."""
+    a_ok, b_ok = is_queryable_phrase(a), is_queryable_phrase(b)
+    assert raises_query_error(entity_query, a) is not a_ok
+    assert raises_query_error(pair_query, a, b) is not (a_ok and b_ok)
+    assert raises_query_error(connectivity_query, a, "and") is not a_ok
+
+
 def test_requests_for():
     assert requests_for(1) == 1
     assert requests_for(PAGE_SIZE) == 1
