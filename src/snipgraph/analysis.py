@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Sequence
 
 from .catalog import EntityCatalog, find_entity_matches
-from .engine import BUDGET, FRONTIER_EMPTY, TRANSPORT, Run, RunReport
+from .engine import BUDGET, Run, RunReport
 from .graph import SocialGraph
 from .search import (
     CorpusRecord,
     SearchGateway,
-    TransportError,
     entity_query,
     is_queryable_phrase,
     pair_query,
@@ -273,8 +272,6 @@ def baseline_pairwise(
     pool = list(run.seeds)
     pooled = set(pool)
     scored: set[tuple[str, str]] = set()
-    stopped = FRONTIER_EMPTY
-    complete = True
 
     def fetch_single(name: str) -> list[CorpusRecord] | None:
         """Snippets for `"name"` alone; None when the name is unqueryable."""
@@ -282,15 +279,14 @@ def baseline_pairwise(
             return None
         return run.search(entity_query(name))
 
-    try:
+    def walk() -> str | None:
+        """Walk the pool; returns a stop reason, or None once it drains."""
         # the pool grows while it is walked: candidates join at its end
         for entity in pool:
             if run.ledger.exhausted:
-                stopped = BUDGET
-                break
+                return BUDGET
             if max_entities is not None and len(run.steps) >= max_entities:
-                stopped = "entity-limit"
-                break
+                return "entity-limit"
             snippets = fetch_single(entity) or []
             new_nodes: list[str] = []
             new_edges: list[tuple[str, str]] = []
@@ -329,8 +325,6 @@ def baseline_pairwise(
                     new_edges.append(pair)
             run.record_step(entity, len(snippets), new_nodes, new_edges)
             if budget_hit:
-                stopped = BUDGET
-                break
-    except TransportError:
-        stopped, complete = TRANSPORT, False
-    return run.graph, run.report(stopped, complete)
+                return BUDGET
+
+    return run.graph, run.finish(walk)

@@ -49,37 +49,18 @@ def fold_text(text: str) -> str:
     return " ".join(text.casefold().split())
 
 
-def phrase_regex(phrase: str) -> re.Pattern[str]:
-    """Compile a token-bounded matcher for a phrase, the spec of replay.
-
-    Case is not ignored: the spec of replay is `phrase_regex(fold_text(p))`
-    searched in `fold_text(text)`. Internal spaces match any whitespace run.
-    Boundary guards ([^\\W_] = letters and digits) are applied only where the
-    phrase edge is itself alphanumeric, so punctuation phrases like "&" may
-    sit flush against a word. The edges are those of the stripped phrase:
-    " and " is guarded like "and".
-    """
-    parts = phrase.split()
-    body = r"\s+".join(re.escape(p) for p in parts) if parts else re.escape(phrase)
-    edges = phrase.strip()
-    if edges and edges[0].isalnum():
-        body = r"(?<![^\W_])" + body
-    if edges and edges[-1].isalnum():
-        body = body + r"(?![^\W_])"
-    return re.compile(body)
-
-
 def folded_phrase_test(phrase: str) -> Callable[[str], bool]:
-    """`phrase_regex(fold_text(phrase)).search` without a regex.
+    """A token-bounded test for `phrase` in a text folded by `fold_text`.
 
     For a non-blank phrase, the returned test of `fold_text(text)` is true
-    exactly when `phrase_regex(fold_text(phrase))` finds a match in it. The
-    phrase is folded once, then looked for with str.find; an occurrence
-    counts when the character beside it is not a letter or digit, on each
-    side where the folded phrase's edge is one. `\\s+` is one space, since
-    split() and re's `\\s` agree on whitespace. The guards come from the
-    folded phrase, because casefold can change whether an edge is a letter:
-    "\\u0345" folds to "ι".
+    exactly when `phrase_regex(fold_text(phrase))` of `tests/oracles.py`, the
+    spec of replay, finds a match in it. The phrase is folded once, then
+    looked for with str.find; an occurrence counts when the character beside
+    it is not a letter or digit, on each side where the folded phrase's edge
+    is one, so punctuation phrases like "&" may sit flush against a word.
+    `\\s+` is one space, since split() and re's `\\s` agree on whitespace.
+    The guards come from the folded phrase, because casefold can change
+    whether an edge is a letter: "\\u0345" folds to "ι".
     """
     body = fold_text(phrase)
     left, right = body[0].isalnum(), body[-1].isalnum()
@@ -146,7 +127,6 @@ class EntityCatalog:
     """
 
     normalized_index: dict[str, str] = field(default_factory=dict)
-    _matcher: re.Pattern[str] | None = field(default=None, repr=False, compare=False)
     _plan: _NamePlan | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -166,20 +146,8 @@ class EntityCatalog:
         if not key or key in self.normalized_index:
             return False
         self.normalized_index[key] = canonical
-        self._matcher = None
         self._plan = None
         return True
-
-    def matcher(self) -> re.Pattern[str] | None:
-        """Compiled alternation over all keys, longest (tokens, chars) first.
-
-        The spec of `find_entity_matches`, searched in `text.casefold()`.
-        """
-        if self._matcher is None and self.normalized_index:
-            keys = sorted(self.normalized_index, key=_name_rank)
-            alts = [_name_pattern(key) for key in keys]
-            self._matcher = re.compile("|".join(alts))
-        return self._matcher
 
     def _name_plan(self) -> _NamePlan:
         """Run-tuple lookup and per-name matchers, built on first use."""
@@ -222,19 +190,19 @@ def find_entity_matches(
     and "STRAUSS" match the key "strauss"; "İris" and "ıris" do not match
     "Iris", because they fold to "i̇ris" (with a combining dot) and "ıris".
 
-    `catalog.matcher()`, one alternation over every key searched in
-    `text.casefold()`, defines the result; this replays it. A name whose
-    first and last tokens each hold an alnum run is found by looking up each
-    n consecutive alnum runs of the folded text among the names of n runs.
-    The folded text from the first of those runs to the last, whitespace
-    collapsed, must then equal the name's body, and the text around them
-    must hold its lead and trail. Other names (with a first or last token
-    that holds no run) are searched each with its own pattern at every
-    start. The alternation's choice is then replayed: leftmost start first,
-    then more tokens, more characters, smaller key. The plan behind it is
-    built on the first text. When casefold changes the text's length
-    ("ß" to "ss"), spans are mapped back to the characters of `text` whose
-    folds they cover.
+    `catalog_matcher(catalog)` of `tests/oracles.py`, one alternation over
+    every key searched in `text.casefold()`, is the spec; this replays it.
+    A name whose first and last tokens each hold an alnum run is found by
+    looking up each n consecutive alnum runs of the folded text among the
+    names of n runs. The folded text from the first of those runs to the
+    last, whitespace collapsed, must then equal the name's body, and the
+    text around them must hold its lead and trail. Other names (with a
+    first or last token that holds no run) are searched each with its own
+    pattern at every start. The alternation's choice is then replayed:
+    leftmost start first, then more tokens, more characters, smaller key.
+    The plan behind it is built on the first text. When casefold changes
+    the text's length ("ß" to "ss"), spans are mapped back to the
+    characters of `text` whose folds they cover.
 
     `memo`, when given, maps texts already spotted to their result: a text
     found there is answered from it, and any other text's result is stored

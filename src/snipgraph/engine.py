@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from .catalog import EntityCatalog
 from .extract import (
@@ -150,8 +150,12 @@ class RunReport:
     edges_found: int = 0
     requests_used: int = 0
     queries_issued: int = 0
-    complete: bool = True
     stopped_reason: str = FRONTIER_EMPTY
+
+    @property
+    def complete(self) -> bool:
+        """False when a transport failure cut the run short."""
+        return self.stopped_reason != TRANSPORT
 
     @property
     def patterns_active(self) -> int:
@@ -276,7 +280,17 @@ class Run:
         self.steps.append(record)
         return record
 
-    def report(self, stopped_reason: str, complete: bool) -> RunReport:
+    def finish(self, drive: Callable[[], str | None]) -> RunReport:
+        """Run `drive` and report why it stopped: the reason it returns, or
+        FRONTIER_EMPTY for None. A transport failure ends the run where it
+        happens, and the report carries the partial state under TRANSPORT."""
+        try:
+            stopped = drive() or FRONTIER_EMPTY
+        except TransportError:
+            stopped = TRANSPORT
+        return self.report(stopped)
+
+    def report(self, stopped_reason: str) -> RunReport:
         return RunReport(
             seeds=list(self.seeds),
             steps=self.steps,
@@ -284,7 +298,6 @@ class Run:
             edges_found=self.graph.edge_count,
             requests_used=self.ledger.used_requests,
             queries_issued=self.ledger.queries_issued,
-            complete=complete,
             stopped_reason=stopped_reason,
         )
 
@@ -355,8 +368,8 @@ class _Run(Run):
             if self.ledger.exhausted:
                 return BUDGET
 
-    def report(self, stopped_reason: str, complete: bool) -> RunReport:
-        report = super().report(stopped_reason, complete)
+    def report(self, stopped_reason: str) -> RunReport:
+        report = super().report(stopped_reason)
         report.iterations = self.iterations
         report.patterns = list(self.match_patterns)
         return report
@@ -376,11 +389,7 @@ def expand_static(
     if config.mode not in (MODE_BF, MODE_PRIO):
         raise ValueError("expand_static requires mode bf or prio")
     run = _Run(config, gateway, catalog)
-    try:
-        stop = run.run_frontier(run.seeds)
-    except TransportError:
-        return run.graph, run.report(TRANSPORT, complete=False)
-    return run.graph, run.report(stop or FRONTIER_EMPTY, complete=True)
+    return run.graph, run.finish(lambda: run.run_frontier(run.seeds))
 
 
 def _mine_patterns(run: _Run) -> tuple[int, list[PatternCandidate], list[Pattern]]:
@@ -437,36 +446,33 @@ def expand_with_pattern_mining(
     if config.mode != MODE_PATTERN_ITER:
         raise ValueError("expand_with_pattern_mining requires mode pattern-iter")
     run = _Run(config, gateway, catalog)
-    stopped = MAX_ITER
-    complete = True
-    for index in range(1, config.max_iterations + 1):
-        first_step = len(run.steps)
-        # the first round expands every seed (the only nodes), as expand_static does
-        names = [n for n in run.graph.nodes() if index == 1 or run.pending_patterns(n)]
-        try:
+
+    def rounds() -> str:
+        """Expand and mine until a round hits the budget, admits nothing, or
+        is the last; returns the stop reason."""
+        for index in range(1, config.max_iterations + 1):
+            first_step = len(run.steps)
+            # the first round expands every seed (the only nodes), as expand_static does
+            names = [n for n in run.graph.nodes() if index == 1 or run.pending_patterns(n)]
             if run.run_frontier(names) == BUDGET:
-                stopped = BUDGET
-                break
+                return BUDGET
             issued, candidates, admitted = _mine_patterns(run)
-        except TransportError:
-            stopped, complete = TRANSPORT, False
-            break
-        run.iterations.append(
-            IterationRecord(
-                index=index,
-                steps=run.steps[first_step:],
-                pair_queries_issued=issued,
-                candidates=candidates,
-                admitted=admitted,
-                node_count=run.graph.node_count,
-                edge_count=run.graph.edge_count,
-                requests_used=run.ledger.used_requests,
+            run.iterations.append(
+                IterationRecord(
+                    index=index,
+                    steps=run.steps[first_step:],
+                    pair_queries_issued=issued,
+                    candidates=candidates,
+                    admitted=admitted,
+                    node_count=run.graph.node_count,
+                    edge_count=run.graph.edge_count,
+                    requests_used=run.ledger.used_requests,
+                )
             )
-        )
-        if run.ledger.exhausted:
-            stopped = BUDGET
-            break
-        if not admitted:
-            stopped = FIXED_POINT
-            break
-    return run.graph, run.report(stopped, complete), list(run.match_patterns)
+            if run.ledger.exhausted:
+                return BUDGET
+            if not admitted:
+                return FIXED_POINT
+        return MAX_ITER
+
+    return run.graph, run.finish(rounds), list(run.match_patterns)

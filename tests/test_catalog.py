@@ -10,10 +10,10 @@ from snipgraph.catalog import (
     load_catalog,
     load_catalog_file,
     normalize_name,
-    phrase_regex,
 )
 
 from conftest import make_catalog
+from oracles import phrase_regex
 
 
 class TestNormalizeName:

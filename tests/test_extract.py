@@ -166,9 +166,12 @@ class TestExtractPatternCandidates:
         assert extract_pattern_candidates(snippets, catalog) == []
 
     def test_gap_containing_entity_rejected(self, catalog, monkeypatch):
-        # The in-snippet scanner already splits any gap holding a full
-        # catalog name, so force the guard with a patched matcher that
-        # claims the gap phrase itself is a name.
+        # A gap can be a catalog name that spotting the snippet did not
+        # find: in "Ada Veil& Co Bo Quist" the name "& Co" is not spotted,
+        # because "&" sits right after a letter, yet the gap "& Co" alone is
+        # that name, so only the guard rejects it. The patched spotter also
+        # claims the gap phrase "alongside" is a name.
+        catalog.add("& Co")
         real = snipgraph.extract.find_entity_matches
 
         def fake(text, cat, memo=None):
@@ -179,6 +182,7 @@ class TestExtractPatternCandidates:
         monkeypatch.setattr(snipgraph.extract, "find_entity_matches", fake)
         snippets = [
             make_snippet("Ada Veil alongside Bo Quist"),
+            make_snippet("Ada Veil& Co Bo Quist"),
             make_snippet("Ada Veil with Bo Quist"),
         ]
         phrases = [c.phrase for c in extract_pattern_candidates(snippets, catalog)]

@@ -1,36 +1,31 @@
-"""Fast paths proved equal to their reference implementations.
+"""Fast paths proved equal to the specs in `tests/oracles.py`.
 
-The spec compares casefolded text. ReplayBackend's inverted index and folded
-check are checked against a plain linear scan of `phrase_regex(fold_text(p))`
-over `fold_text(text)`, and find_entity_matches against the catalog's
-one-alternation matcher searched in `text.casefold()`, its spans mapped back
-through the folded length of each prefix. The generated texts, names and
-queries are built from pieces chosen to reach the hard cases: inner
-punctuation, `_` and digits next to a name, letters whose casefold is longer
-("ß", "ﬁ") or differs from IGNORECASE ("İ", "ı", "ſ", the Kelvin sign),
-"\u0345", which casefold turns into a letter, overlapping and
-self-overlapping names, and mixed whitespace runs.
+The specs compare casefolded text. ReplayBackend's inverted index and folded
+check are checked against `linear_fetch`, a plain scan of
+`phrase_regex(fold_text(p))` over `fold_text(text)`, and find_entity_matches
+against `alternation_matches`, the catalog's one-alternation matcher searched
+in `text.casefold()`, its spans mapped back through the folded length of each
+prefix. The generated texts, names and queries are built from pieces chosen
+to reach the hard cases: inner punctuation, `_` and digits next to a name,
+letters whose casefold is longer ("ß", "ﬁ") or differs from IGNORECASE ("İ",
+"ı", "ſ", the Kelvin sign), "\u0345", which casefold turns into a letter,
+overlapping and self-overlapping names, and mixed whitespace runs.
 """
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from snipgraph.catalog import (
-    find_entity_matches,
-    fold_text,
-    folded_phrase_test,
-    phrase_regex,
-)
+from snipgraph.catalog import find_entity_matches, fold_text, folded_phrase_test
 from snipgraph.search import (
     CorpusRecord,
     ReplayBackend,
     connectivity_query,
     entity_query,
     pair_query,
-    parse_query_terms,
 )
 
 from conftest import make_catalog
+from oracles import alternation_matches, linear_fetch, phrase_regex
 
 NAME_PIECES = (
     "Bo", "bo", "Ada", "Veil", "Quist", "Jean-Luc", "O'Brien", "o", "Brien",
@@ -67,34 +62,6 @@ SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-def alternation_matches(text, catalog):
-    """The reference spotter: one alternation over every key, searched in the
-    casefolded text. A folded span starts in the last character of `text`
-    whose folded prefix is no longer than its start, and ends with the first
-    prefix whose fold reaches its end."""
-    matcher = catalog.matcher()
-    if matcher is None:
-        return []
-    folded_at = [len(text[:i].casefold()) for i in range(len(text) + 1)]
-    out = []
-    for m in matcher.finditer(text.casefold()):
-        key = " ".join(m.group().split())
-        start = max(i for i, n in enumerate(folded_at) if n <= m.start())
-        end = min(i for i, n in enumerate(folded_at) if n >= m.end())
-        out.append((catalog.normalized_index[key], start, end))
-    return out
-
-
-def linear_fetch(records, raw_query, offset, count):
-    """The reference replay: every folded record against every folded quoted
-    phrase."""
-    needles = [phrase_regex(fold_text(term)) for term in parse_query_terms(raw_query)]
-    found = [
-        rec for rec in records if all(rx.search(fold_text(rec.text)) for rx in needles)
-    ]
-    return found[offset : offset + count]
 
 
 class TestEntitySpotting:
