@@ -34,15 +34,17 @@ from .stemming import porter_stem
 class DistributionSummary:
     """Mean, population standard deviation, median, and a value histogram.
 
-    `empty` marks a zero-population summary; its numeric fields are all 0
-    and the histogram is empty.
+    A zero-population summary is `empty`: no histogram, every number 0.
     """
 
     mean: float
     standard_deviation: float
     median: float
     histogram: dict[int, int]
-    empty: bool = False
+
+    @property
+    def empty(self) -> bool:
+        return not self.histogram
 
     @property
     def population(self) -> int:
@@ -52,7 +54,7 @@ class DistributionSummary:
 def summarize_values(values: Sequence[int]) -> DistributionSummary:
     """Summary of an integer sample; zero-population when `values` is empty."""
     if not values:
-        return DistributionSummary(0.0, 0.0, 0.0, {}, empty=True)
+        return DistributionSummary(0.0, 0.0, 0.0, {})
     return DistributionSummary(
         mean=statistics.fmean(values),
         standard_deviation=statistics.pstdev(values),

@@ -19,7 +19,7 @@ class CatalogLoadError(ValueError):
     """Catalog input could not be decoded or read."""
 
 
-_ALNUM_RUN = re.compile(r"[^\W_]+")
+ALNUM_RUN = re.compile(r"[^\W_]+")
 
 
 def normalize_name(raw: str) -> str:
@@ -28,23 +28,14 @@ def normalize_name(raw: str) -> str:
     return " ".join(s.split())
 
 
-def alnum_runs(text: str) -> set[str]:
-    """Distinct maximal letter-and-digit runs of `text`, casefolded.
-
-    A token-bounded match of a folded phrase in a folded text implies that
-    every run of the phrase is also a run of the text, so these sets can rule
-    texts out before the phrase itself is looked for.
-    """
-    return set(_ALNUM_RUN.findall(text.casefold()))
-
-
 def fold_text(text: str) -> str:
     """`text` casefolded, every whitespace run one space, ends trimmed.
 
     This is the form in which every text is compared with a phrase, by
     `folded_phrase_test` in replay. It keeps the alnum runs of
     `text.casefold()`; casefold never turns whitespace into anything else or
-    anything else into whitespace.
+    anything else into whitespace. Folding a folded text changes nothing, as
+    casefold is idempotent on every code point, so none is folded twice.
     """
     return " ".join(text.casefold().split())
 
@@ -236,7 +227,7 @@ def _replay_alternation(text: str, plan: _NamePlan) -> list[tuple[str, int, int]
             best[start] = (rank, end)
 
     low = text.casefold()
-    runs = list(_ALNUM_RUN.finditer(low))
+    runs = list(ALNUM_RUN.finditer(low))
     words = [run.group() for run in runs]
     for n in plan.lengths:
         for i, tokens in enumerate(zip(*(words[k:] for k in range(n)))):

@@ -96,20 +96,18 @@ def pa_edge_list(
     edges: set[tuple[int, int]] = {(0, 1)}
     degree = [1, 1]
     for v in range(2, n_nodes):
-        population = list(range(v))
+        # random.choices would sum these totals on every draw, and refuses an infinite one
         try:
-            weights = [degree[u] ** exponent for u in population]
-            total = list(accumulate(weights))[-1]
+            cumulative = list(accumulate(degree[u] ** exponent for u in range(v)))
         except OverflowError:
-            total = math.inf
-        # random.choices sums the weights left to right and refuses an infinite total
-        if total == math.inf:
+            cumulative = [math.inf]
+        if cumulative[-1] == math.inf:
             raise ValueError(
                 f"exponent {exponent:g} is too large: degree**exponent overflows a float"
             )
         targets: set[int] = set()
         while len(targets) < min(attach, v):
-            targets.add(rng.choices(population, weights=weights)[0])
+            targets.add(rng.choices(range(v), cum_weights=cumulative)[0])
         for t in sorted(targets):
             edges.add((t, v))
             degree[t] += 1
@@ -161,25 +159,20 @@ def synthesize_from_edges(
     choose_pattern = _pattern_chooser(patterns, rng)
     pool = DOMAIN_POOL[:domains]
     records: list[CorpusRecord] = []
-    serial = 0
 
     def emit(text: str) -> None:
-        nonlocal serial
         domain = rng.choice(pool)
         records.append(
-            CorpusRecord(f"https://{domain}/item/{serial:05d}", domain, text)
+            CorpusRecord(f"https://{domain}/item/{len(records):05d}", domain, text)
         )
-        serial += 1
 
-    planted = 0
     for a, b, weight in edges:
         for _ in range(weight):
             phrase = choose_pattern()
             left, right = (a, b) if rng.random() < 0.5 else (b, a)
             mid = phrase if phrase == " " else f" {phrase} "
             emit(f"{_filler(rng)} {left}{mid}{right} {_filler(rng)}")
-            planted += 1
-    for _ in range(round(noise_ratio * planted)):
+    for _ in range(round(noise_ratio * len(records))):
         emit(_filler(rng, 6, 12))
     rng.shuffle(records)
     return SyntheticCorpus(records, names, [(a, b, w) for a, b, w in edges])

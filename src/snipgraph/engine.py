@@ -400,21 +400,21 @@ def _mine_patterns(run: _Run) -> tuple[int, list[PatternCandidate], list[Pattern
     was fetched before the cutoff. A pair query an earlier pass already sent
     is answered from the run's memo for no request, so the candidates are
     those of a pass that sent every query afresh. The count issued includes
-    those memo answers.
+    those memo answers: it is the ledger entries the pass added, since each
+    `Run.search` logs one (charged, or cached for a memo or disk-cache hit).
     """
     config = run.config
-    issued = 0
+    logged = len(run.ledger.log)
 
     def queries() -> Iterator[Query]:
-        nonlocal issued
         for a, b, _w in run.graph.top_edges(config.h):
             if run.ledger.exhausted:
                 return
             if is_queryable_phrase(a) and is_queryable_phrase(b):
-                issued += 1
                 yield pair_query(a, b)
 
     pooled = run.search_pooled(queries())
+    issued = len(run.ledger.log) - logged
     candidates = extract_pattern_candidates(pooled, run.catalog, memo=run.spotted)
     known = {p.key for p in run.match_patterns}
     admitted: list[Pattern] = []

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import IO, Any, Callable, Iterable, Protocol
 from urllib.parse import urlparse
 
-from .catalog import alnum_runs, fold_text, folded_phrase_test, normalize_name
+from .catalog import ALNUM_RUN, fold_text, folded_phrase_test, normalize_name
 
 PAGE_SIZE = 50
 
@@ -243,14 +243,18 @@ class BudgetLedger:
     """Tracks search requests against an optional cap.
 
     `used_requests` only grows; cache hits are logged but cost nothing.
-    `queries_issued` counts charged searches, one per charge() however many
-    calls the search made. `max_requests` of None means unlimited.
+    `queries_issued` is read from the log: its charged entries, one per
+    charge() however many calls the search made. `max_requests` of None
+    means unlimited.
     """
 
     max_requests: int | None = None
     used_requests: int = 0
-    queries_issued: int = 0
     log: list[QueryLogEntry] = field(default_factory=list)
+
+    @property
+    def queries_issued(self) -> int:
+        return sum(not entry.cached for entry in self.log)
 
     @property
     def exhausted(self) -> bool:
@@ -268,7 +272,6 @@ class BudgetLedger:
         if requests < 0:
             raise ValueError("requests must be >= 0")
         self.used_requests += requests
-        self.queries_issued += 1
         self.log.append(
             QueryLogEntry(raw_query, requests, False, kind, retries, snippets)
         )
@@ -370,12 +373,14 @@ class ReplayBackend:
     Results keep corpus insertion order, which stands in for search-engine
     ranking and makes replay runs fully deterministic.
 
-    Only candidate records are tested against the phrases: those holding
-    every alnum run of every phrase, found by intersecting the posting lists
-    of an inverted index from run to record, shortest first, or every record
-    when the phrases hold no run. The index is built on the first query, in
-    one pass that also keeps each record's folded text (`catalog.fold_text`:
-    casefolded, each whitespace run one space). A candidate is then checked by
+    Each query's phrases are folded once by `catalog.fold_text` (casefolded,
+    each whitespace run one space), as is each record's text, and alnum runs
+    are read from folded text without folding it again. Only candidate
+    records are tested against the phrases: those holding every run of every
+    phrase, found by intersecting the posting lists of an inverted index from
+    run to record, shortest first, or every record when the phrases hold no
+    run. The index is built on the first query, in one pass that also keeps
+    each record's folded text. A candidate is then checked by
     `catalog.folded_phrase_test`, one str.find per phrase in its folded text,
     with no regex compiled. So "Strauß" and "STRAUSS" match one phrase, while
     "İris" and "ıris" do not match "Iris". The cost of a query thus grows
@@ -397,15 +402,17 @@ class ReplayBackend:
             for i, rec in enumerate(self.records):
                 folded = fold_text(rec.text)
                 self._folded.append(folded)
-                for run in alnum_runs(folded):
+                for run in set(ALNUM_RUN.findall(folded)):
                     self._postings.setdefault(run, []).append(i)
         return self._postings
 
-    def _candidates(self, phrases: tuple[str, ...]) -> list[int]:
+    def _candidates(self, bodies: tuple[str, ...]) -> list[int]:
         """Corpus-ordered indices of the records holding every run of the
-        phrases; every record when the phrases hold no run."""
+        folded phrases `bodies`; every record when they hold no run."""
         postings = self._index()
-        runs = set().union(*map(alnum_runs, phrases))
+        # a token-bounded match of a folded phrase in a folded text implies
+        # that every run of the phrase is a run of the text
+        runs = set(ALNUM_RUN.findall(" ".join(bodies)))
         if not runs:
             return list(range(len(self.records)))
         lists = sorted((postings.get(run, []) for run in runs), key=len)
@@ -421,8 +428,9 @@ class ReplayBackend:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        hits = self._candidates(key)
-        for test in map(folded_phrase_test, key):
+        bodies = tuple(map(fold_text, key))
+        hits = self._candidates(bodies)
+        for test in map(folded_phrase_test, bodies):
             hits = [i for i in hits if test(self._folded[i])]
         found = [self.records[i] for i in hits]
         self._memo[key] = found
@@ -548,22 +556,6 @@ class SearchGateway:
         self.cache = cache
         self._sleep = sleep
 
-    def _fetch_page(
-        self, raw_query: str, offset: int, failures: list[TransportError]
-    ) -> list[CorpusRecord]:
-        """One result page; each failed attempt is appended to `failures`."""
-        delay = RETRY_DELAY
-        for attempt in range(1, RETRIES + 1):
-            try:
-                return self.backend.fetch(raw_query, offset, PAGE_SIZE)
-            except TransportError as exc:
-                failures.append(exc)
-                if isinstance(exc, FatalTransportError) or attempt == RETRIES:
-                    raise
-                self._sleep(delay)
-                delay *= 2
-        raise AssertionError("unreachable")
-
     def search(self, query: Query, k: int) -> tuple[list[CorpusRecord], int]:
         """Up to k snippets for `query`, in rank order, plus the pages
         fetched; see class docstring."""
@@ -576,16 +568,22 @@ class SearchGateway:
                 cached = cached[:k]
                 self.ledger.note_cached(query.raw, kind=query.kind, snippets=len(cached))
                 return cached, 0
-        max_pages = requests_for(k)
         collected: list[CorpusRecord] = []
         seen: set[tuple[str, str]] = set()
-        failures: list[TransportError] = []
         result: list[CorpusRecord] = []
-        spent = 0
+        calls = retries = 0
         try:
-            for page_idx in range(max_pages):
-                page = self._fetch_page(query.raw, page_idx * PAGE_SIZE, failures)
-                spent += 1
+            for offset in range(0, requests_for(k) * PAGE_SIZE, PAGE_SIZE):
+                for attempt in range(1, RETRIES + 1):
+                    calls += 1
+                    try:
+                        page = self.backend.fetch(query.raw, offset, PAGE_SIZE)
+                        break
+                    except TransportError as exc:
+                        retries += 1
+                        if isinstance(exc, FatalTransportError) or attempt == RETRIES:
+                            raise
+                        self._sleep(RETRY_DELAY * 2 ** (attempt - 1))
                 for rec in page:
                     key = (rec.url, rec.text)
                     if key in seen:
@@ -599,12 +597,8 @@ class SearchGateway:
             result = collected[:k]
         finally:
             self.ledger.charge(
-                query.raw,
-                spent + len(failures),
-                kind=query.kind,
-                retries=len(failures),
-                snippets=len(result),
+                query.raw, calls, kind=query.kind, retries=retries, snippets=len(result)
             )
         if self.cache is not None:
             self.cache.put(query, result, k)
-        return result, spent
+        return result, calls - retries

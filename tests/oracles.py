@@ -3,14 +3,17 @@
 Each function here is the plain statement of a rule the package
 implements faster: `phrase_regex` and `linear_fetch` of replay's folded
 phrase check and inverted index, `catalog_matcher` and
-`alternation_matches` of `find_entity_matches`. Both specs compare
-casefolded text. `tests/test_fastpaths.py` checks each fast path against
-them.
+`alternation_matches` of `find_entity_matches`, `weighted_pa_edge_list` of
+`corpus.pa_edge_list`. The text specs compare casefolded text.
+`tests/test_fastpaths.py` checks each fast path against them.
 """
 
 from __future__ import annotations
 
+import math
+import random
 import re
+from itertools import accumulate
 
 from snipgraph.catalog import EntityCatalog, _name_pattern, _name_rank, fold_text
 from snipgraph.search import parse_query_terms
@@ -74,3 +77,37 @@ def linear_fetch(records, raw_query, offset, count):
         rec for rec in records if all(rx.search(fold_text(rec.text)) for rx in needles)
     ]
     return found[offset : offset + count]
+
+
+def weighted_pa_edge_list(
+    n_nodes: int, attach: int, rng: random.Random, exponent: float = 1.0
+) -> list[tuple[int, int]]:
+    """The reference preferential attachment: each draw hands the weights
+    degree**exponent to random.choices, which sums them afresh."""
+    if n_nodes < 2:
+        raise ValueError("need at least 2 nodes")
+    if attach < 1:
+        raise ValueError("attach must be >= 1")
+    if not 0 <= exponent < math.inf:
+        raise ValueError("exponent must be >= 0 and finite")
+    edges: set[tuple[int, int]] = {(0, 1)}
+    degree = [1, 1]
+    for v in range(2, n_nodes):
+        population = list(range(v))
+        try:
+            weights = [degree[u] ** exponent for u in population]
+            total = list(accumulate(weights))[-1]
+        except OverflowError:
+            total = math.inf
+        if total == math.inf:
+            raise ValueError(
+                f"exponent {exponent:g} is too large: degree**exponent overflows a float"
+            )
+        targets: set[int] = set()
+        while len(targets) < min(attach, v):
+            targets.add(rng.choices(population, weights=weights)[0])
+        for t in sorted(targets):
+            edges.add((t, v))
+            degree[t] += 1
+        degree.append(len(targets))
+    return sorted(edges)

@@ -9,13 +9,21 @@ prefix. The generated texts, names and queries are built from pieces chosen
 to reach the hard cases: inner punctuation, `_` and digits next to a name,
 letters whose casefold is longer ("ß", "ﬁ") or differs from IGNORECASE ("İ",
 "ı", "ſ", the Kelvin sign), "\u0345", which casefold turns into a letter,
-overlapping and self-overlapping names, and mixed whitespace runs.
+overlapping and self-overlapping names, and mixed whitespace runs. Replay
+folds each text and phrase once, on the premise, checked on every code
+point, that folding a folded text changes nothing. The corpus generator's
+`pa_edge_list` is checked against `weighted_pa_edge_list`, which hands
+random.choices the weights on every draw.
 """
+
+import random
+import sys
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from snipgraph.catalog import find_entity_matches, fold_text, folded_phrase_test
+from snipgraph.corpus import pa_edge_list
 from snipgraph.search import (
     CorpusRecord,
     ReplayBackend,
@@ -25,7 +33,7 @@ from snipgraph.search import (
 )
 
 from conftest import make_catalog
-from oracles import alternation_matches, linear_fetch, phrase_regex
+from oracles import alternation_matches, linear_fetch, phrase_regex, weighted_pa_edge_list
 
 NAME_PIECES = (
     "Bo", "bo", "Ada", "Veil", "Quist", "Jean-Luc", "O'Brien", "o", "Brien",
@@ -161,6 +169,10 @@ class TestFoldedPhrase:
         found = phrase_regex(fold_text(term)).search(folded) is not None
         assert folded_phrase_test(term)(folded) == found
 
+    def test_folding_a_folded_text_changes_nothing(self):
+        for folded in map(fold_text, map(chr, range(sys.maxunicode + 1))):
+            assert fold_text(folded) == folded, ascii(folded)
+
 
 class TestReplayCompiles:
     RECORDS = (
@@ -191,3 +203,19 @@ class TestReplayCompiles:
         urls = [rec.url for rec in backend.fetch('"Johann Strauß"', 0, 50)]
         assert urls == ["u7", "u8"]
         assert backend.fetch('"Iris Quist"', 0, 50) == []
+
+
+class TestPaEdgeList:
+    @SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_nodes=st.integers(2, 60),
+        attach=st.integers(1, 4),
+        exponent=st.sampled_from((0, 0.5, 1, 1.5, 3)),
+    )
+    def test_equals_weights_drawn_afresh(self, seed, n_nodes, attach, exponent):
+        rng, reference = random.Random(seed), random.Random(seed)
+        edges = pa_edge_list(n_nodes, attach, rng, exponent)
+        assert edges == weighted_pa_edge_list(n_nodes, attach, reference, exponent)
+        # the caller draws on from the same generator
+        assert rng.getstate() == reference.getstate()
