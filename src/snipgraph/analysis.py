@@ -18,13 +18,7 @@ from typing import IO, Iterable, Mapping, Sequence
 from .catalog import EntityCatalog, find_entity_matches
 from .engine import BUDGET, Run, RunReport
 from .graph import SocialGraph
-from .search import (
-    CorpusRecord,
-    SearchGateway,
-    entity_query,
-    is_queryable_phrase,
-    pair_query,
-)
+from .search import SearchGateway, entity_query, is_queryable_phrase, pair_query
 from .stemming import porter_stem
 
 
@@ -257,7 +251,8 @@ def baseline_pairwise(
     or max_entities entities have been processed. Each distinct snippet text
     is spotted once per call, through a spotting memo that find_entity_matches
     fills, and a name's single query is sent once: a repeat is answered from
-    the run's memo (a cached ledger row, no request).
+    the run's memo (a cached ledger row, no request). Each entity is one
+    step, merged whole by `Run.grow`: a transport failure drops that step.
     """
     if not 0 < t < 1:
         raise ValueError("threshold t must satisfy 0 < t < 1")
@@ -275,12 +270,6 @@ def baseline_pairwise(
     pooled = set(pool)
     scored: set[tuple[str, str]] = set()
 
-    def fetch_single(name: str) -> list[CorpusRecord] | None:
-        """Snippets for `"name"` alone; None when the name is unqueryable."""
-        if not is_queryable_phrase(name):
-            return None
-        return run.search(entity_query(name))
-
     def walk() -> str | None:
         """Walk the pool; returns a stop reason, or None once it drains."""
         # the pool grows while it is walked: candidates join at its end
@@ -289,9 +278,9 @@ def baseline_pairwise(
                 return BUDGET
             if max_entities is not None and len(run.steps) >= max_entities:
                 return "entity-limit"
-            snippets = fetch_single(entity) or []
-            new_nodes: list[str] = []
-            new_edges: list[tuple[str, str]] = []
+            queryable = is_queryable_phrase(entity)
+            snippets = run.search(entity_query(entity)) if queryable else []
+            evidence: dict[tuple[str, str], int] = {}
             budget_hit = False
             candidates = dict.fromkeys(
                 name
@@ -309,23 +298,18 @@ def baseline_pairwise(
                 if run.ledger.exhausted:
                     budget_hit = True
                     break
-                other = fetch_single(candidate)
-                if other is None:
-                    scored.add(pair)
+                scored.add(pair)
+                if not is_queryable_phrase(candidate):
                     continue
+                other = run.search(entity_query(candidate))
                 if run.ledger.exhausted:
                     budget_hit = True
                     break
-                scored.add(pair)
                 pair_snips = run.search(pair_query(pair[0], pair[1]))
-                score = overlap_coefficient(len(pair_snips), len(snippets), len(other))
-                if score > t:
-                    for name in pair:
-                        if not run.graph.has_node(name):
-                            new_nodes.append(name)
-                    run.graph.add_edge(pair[0], pair[1], len(pair_snips))
-                    new_edges.append(pair)
-            run.record_step(entity, len(snippets), new_nodes, new_edges)
+                if overlap_coefficient(len(pair_snips), len(snippets), len(other)) > t:
+                    evidence[pair] = len(pair_snips)
+            # a scored pair is new and has a pair snippet (t > 0): tau 1 is exact
+            run.grow(entity, len(snippets), evidence, 1)
             if budget_hit:
                 return BUDGET
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
 from .catalog import EntityCatalog
 from .extract import (
@@ -208,7 +208,8 @@ class Run:
     """What every graph-growing run shares: a fresh request ledger installed
     in the gateway, the answer memo of every query searched at depth k, a
     graph seeded with the canonical seeds, the spotting memo, and one
-    StepRecord per expanded entity."""
+    StepRecord per expanded entity, which `grow` merges into the graph whole:
+    a transport failure drops the interrupted step."""
 
     def __init__(
         self,
@@ -259,14 +260,15 @@ class Run:
                     pooled.append(snippet)
         return pooled
 
-    def record_step(
+    def grow(
         self,
         entity: str,
         snippet_count: int,
-        new_nodes: list[str],
-        new_edges: list[tuple[str, str]],
+        evidence: Mapping[tuple[str, str], int],
+        tau: int,
     ) -> StepRecord:
-        """Append the step that expanded `entity`, with the totals after it."""
+        """Merge a whole step's pair counts under `tau`; record it with the totals after."""
+        new_nodes, new_edges = self.graph.merge_evidence(evidence, tau)
         record = StepRecord(
             step=len(self.steps) + 1,
             entity=entity,
@@ -339,14 +341,13 @@ class _Run(Run):
         extraction pass runs under the grown match set, which is what lets
         admitted patterns contribute edges. An entity whose name cannot be
         quoted has no pending pattern: its step sends no query and records
-        0 snippets.
+        0 snippets. A transport failure drops the whole step (see `grow`).
         """
         pending = self.pending_patterns(entity)
         self.queried.update((entity, p.key) for p in pending)
         pooled = self.search_pooled(connectivity_query(entity, p.phrase) for p in pending)
         evidence = extract_edges(pooled, self.catalog, self.match_patterns, self.spotted)
-        new_nodes, new_edges = self.graph.merge_evidence(evidence, self.config.tau)
-        return self.record_step(entity, len(pooled), new_nodes, new_edges)
+        return self.grow(entity, len(pooled), evidence, self.config.tau)
 
     def run_frontier(self, names: Iterable[str]) -> str | None:
         """Expand `names`, which enter a FIFO (in prio mode, PRIORITY)

@@ -6,6 +6,11 @@ phrase check and inverted index, `catalog_matcher` and
 `alternation_matches` of `find_entity_matches`, `weighted_pa_edge_list` of
 `corpus.pa_edge_list`. The text specs compare casefolded text.
 `tests/test_fastpaths.py` checks each fast path against them.
+
+`stepwise_baseline_pairwise` is the pairwise baseline as it was before its
+steps went through `Run.grow`: it adds each accepted edge to the graph as
+soon as its pair query scores. `tests/test_analysis.py` checks that
+`analysis.baseline_pairwise` takes the same steps.
 """
 
 from __future__ import annotations
@@ -15,8 +20,21 @@ import random
 import re
 from itertools import accumulate
 
-from snipgraph.catalog import EntityCatalog, _name_pattern, _name_rank, fold_text
-from snipgraph.search import parse_query_terms
+from snipgraph.analysis import overlap_coefficient
+from snipgraph.catalog import (
+    EntityCatalog,
+    _name_pattern,
+    _name_rank,
+    find_entity_matches,
+    fold_text,
+)
+from snipgraph.engine import BUDGET, Run
+from snipgraph.search import (
+    entity_query,
+    is_queryable_phrase,
+    pair_query,
+    parse_query_terms,
+)
 
 
 def phrase_regex(phrase: str) -> re.Pattern[str]:
@@ -111,3 +129,73 @@ def weighted_pa_edge_list(
             degree[t] += 1
         degree.append(len(targets))
     return sorted(edges)
+
+
+def stepwise_baseline_pairwise(
+    seeds, gateway, catalog, t=0.1, max_requests=None, k=200, max_entities=None
+):
+    """The reference baseline: the same walk, queries and acceptance rule as
+    `analysis.baseline_pairwise`, but each accepted pair enters the graph
+    the moment it scores, and the step's nodes and edges are listed by hand
+    in acceptance order. A transport failure in the middle of a step
+    therefore leaves that step's edges in the graph. Argument checks are
+    left out: callers pass valid arguments."""
+    run = Run(seeds, gateway, catalog, max_requests, k)
+    pool = list(run.seeds)
+    pooled = set(pool)
+    scored = set()
+
+    def fetch_single(name):
+        if not is_queryable_phrase(name):
+            return None
+        return run.search(entity_query(name))
+
+    def walk():
+        for entity in pool:
+            if run.ledger.exhausted:
+                return BUDGET
+            if max_entities is not None and len(run.steps) >= max_entities:
+                return "entity-limit"
+            snippets = fetch_single(entity) or []
+            new_nodes = []
+            new_edges = []
+            budget_hit = False
+            candidates = dict.fromkeys(
+                name
+                for snippet in snippets
+                for name, _s, _e in find_entity_matches(snippet.text, catalog, run.spotted)
+                if name != entity
+            )
+            for candidate in candidates:
+                if candidate not in pooled:
+                    pooled.add(candidate)
+                    pool.append(candidate)
+                pair = tuple(sorted((entity, candidate)))
+                if pair in scored:
+                    continue
+                if run.ledger.exhausted:
+                    budget_hit = True
+                    break
+                other = fetch_single(candidate)
+                if other is None:
+                    scored.add(pair)
+                    continue
+                if run.ledger.exhausted:
+                    budget_hit = True
+                    break
+                scored.add(pair)
+                pair_snips = run.search(pair_query(pair[0], pair[1]))
+                score = overlap_coefficient(len(pair_snips), len(snippets), len(other))
+                if score > t:
+                    for name in pair:
+                        if not run.graph.has_node(name):
+                            new_nodes.append(name)
+                    run.graph.add_edge(pair[0], pair[1], len(pair_snips))
+                    new_edges.append(pair)
+            # the edges are in the graph already: record the step around them
+            step = run.grow(entity, len(snippets), {}, 1)
+            step.new_nodes, step.new_edges = new_nodes, new_edges
+            if budget_hit:
+                return BUDGET
+
+    return run.graph, run.finish(walk)

@@ -25,8 +25,16 @@ from snipgraph.analysis import (
     write_relations_csv,
 )
 from snipgraph.corpus import synthesize
+from snipgraph.engine import TRANSPORT
 from snipgraph.graph import SocialGraph
-from snipgraph.search import ENTITY, ReplayBackend, SearchGateway, requests_for
+from snipgraph.search import (
+    ENTITY,
+    ReplayBackend,
+    SearchGateway,
+    TransportError,
+    pair_query,
+    requests_for,
+)
 
 from conftest import (
     CorpusBuilder,
@@ -35,6 +43,7 @@ from conftest import (
     spotting_log,
     without_spotting_memo,
 )
+from oracles import stepwise_baseline_pairwise
 
 A, B, C, D = "Ada Veil", "Bo Quist", "Cy Marsh", "Dee Falk"
 
@@ -318,6 +327,13 @@ class TestBaselinePairwise:
         assert report.stopped_reason == "frontier-empty"
         assert report.complete
 
+    def test_one_pair_snippet_makes_a_weight_one_edge(self):
+        builder = CorpusBuilder()
+        builder.add(f"{A} with {B} tonight")
+        graph, report = baseline_pairwise((A,), builder.gateway(), make_catalog())
+        assert sorted(graph.edges()) == [(A, B, 1)]
+        assert report.steps[0].new_edges == [(A, B)]
+
     def test_repeated_single_queries_are_logged_cached(self):
         corpus = synthesize(n_nodes=30, attach=3, noise_ratio=1.0, seed=2)
         gateway = SearchGateway(ReplayBackend(corpus.records))
@@ -414,6 +430,96 @@ class TestBaselineStops:
             assert report.requests_used <= max_requests + requests_for(k) - 1
         assert report.stopped_reason in ("budget", "entity-limit", "frontier-empty")
         assert report.stopped_reason != "budget" or gateway.ledger.exhausted
+
+
+class FailingFrom:
+    """Replay whose backend calls fail from call number `fail_from` on, or
+    that never fails when it is None."""
+
+    def __init__(self, records, fail_from=None):
+        self.inner = ReplayBackend(records)
+        self.fail_from = fail_from
+        self.calls = 0
+
+    def fetch(self, raw_query, offset, count):
+        self.calls += 1
+        if self.fail_from is not None and self.calls >= self.fail_from:
+            raise TransportError("down")
+        return self.inner.fetch(raw_query, offset, count)
+
+
+def baseline_outcome(baseline, records, names, fail_from, **limits):
+    """One run of `baseline`: its graph, its report, its steps with
+    each step's new nodes and edges sorted, and its ledger log."""
+    gateway = SearchGateway(FailingFrom(records, fail_from), sleep=lambda _s: None)
+    graph, report = baseline((names[0],), gateway, make_catalog(names), **limits)
+    steps = [
+        (s.step, s.entity, s.snippet_count, sorted(s.new_nodes), sorted(s.new_edges),
+         s.node_count, s.edge_count, s.requests_used)
+        for s in report.steps
+    ]
+    return graph, report, steps, gateway.ledger.log
+
+
+class TestBaselineGrowsByWholeSteps:
+    @given(
+        seed=st.integers(0, 10_000),
+        n_nodes=st.integers(3, 40),
+        ampersand=st.booleans(),
+        max_requests=st.none() | st.integers(1, 80),
+        max_entities=st.none() | st.integers(1, 15),
+        t=st.floats(0.01, 0.99),
+        k=st.sampled_from([20, 50, 200]),
+        failing=st.integers(0, 3),
+        fail_from=st.integers(1, 80),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_same_steps_as_stepwise_reference(
+        self, seed, n_nodes, ampersand, max_requests, max_entities, t, k, failing, fail_from
+    ):
+        corpus = synthesize(n_nodes=n_nodes, attach=2, noise_ratio=0.5, seed=seed)
+        records, names = corpus.records, corpus.names
+        if ampersand:
+            records, names = respell(corpus, (names[1].replace(" ", " & "),))
+        # one run in four has a backend that fails from some call on
+        fail_from = fail_from if failing == 0 else None
+        limits = dict(t=t, k=k, max_requests=max_requests, max_entities=max_entities)
+        graph, report, steps, log = baseline_outcome(
+            baseline_pairwise, records, names, fail_from, **limits
+        )
+        want_graph, want, want_steps, want_log = baseline_outcome(
+            stepwise_baseline_pairwise, records, names, fail_from, **limits
+        )
+        assert steps == want_steps
+        assert log == want_log
+        assert report.stopped_reason == want.stopped_reason
+        edges = sorted(graph.edges())
+        if report.stopped_reason != TRANSPORT:
+            assert edges == sorted(want_graph.edges())
+            assert sorted(graph.nodes()) == sorted(want_graph.nodes())
+            return
+        # the interrupted step is dropped whole: the graph is the recorded steps
+        recorded = [(s.node_count, s.edge_count) for s in report.steps]
+        last = recorded[-1] if recorded else (1, 0)
+        assert (graph.node_count, graph.edge_count) == last
+        assert (report.nodes_found, report.edges_found) == last
+        assert set(edges) <= set(want_graph.edges())
+
+    def test_transport_failure_drops_the_interrupted_step(self):
+        builder = CorpusBuilder()
+        builder.add(f"{A} with {B} tonight")
+        builder.add(f"{A} with {B} again")
+        builder.add(f"{A} with {C} tonight")
+        builder.add(f"{A} with {C} again")
+        # calls: A alone, B alone, A with B (accepted), C alone, A with C (fails)
+        gateway = SearchGateway(FailingFrom(builder.records, 5), sleep=lambda _s: None)
+        graph, report = baseline_pairwise((A,), gateway, make_catalog())
+        log = [(e.raw, e.snippets) for e in gateway.ledger.log]
+        assert log[2] == (pair_query(A, B).raw, 2) and log[-1][0] == pair_query(A, C).raw
+        assert report.stopped_reason == TRANSPORT
+        last_edges = report.steps[-1].edge_count if report.steps else 0
+        assert report.edges_found == last_edges == graph.edge_count == 0
+        assert list(graph.nodes()) == [A]
 
 
 def run_baseline(records, names):

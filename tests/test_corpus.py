@@ -47,6 +47,11 @@ class TestPaEdgeList:
         with pytest.raises(ValueError, match="exponent must be >= 0"):
             pa_edge_list(5, 1, rng, exponent=-1.0)
 
+    def test_int_exponent_overflow_raises_value_error(self):
+        # int ** int never overflows; the float total of its powers would
+        with pytest.raises(ValueError, match="exponent 1024 is too large"):
+            pa_edge_list(8, 2, random.Random(0), exponent=1024)
+
     def test_edge_count_with_full_attachment(self):
         edges = pa_edge_list(6, 2, random.Random(7))
         assert len(edges) == 9

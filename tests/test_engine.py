@@ -526,6 +526,23 @@ class TestAnswerMemo:
         assert report.requests_used == want.requests_used == 30
         assert [e.cached for e in log if e.raw.endswith(" And")] == [True] * 30
 
+    def test_mined_case_variant_recovers_every_truth_edge(self):
+        corpus = synthesize(
+            n_nodes=40, attach=3, noise_ratio=1.0, seed=3, patterns={"and": 3, "And": 2}
+        )
+        gateway = SearchGateway(ReplayBackend(corpus.records))
+        config = RunConfig(seeds=(corpus.names[0],), mode=MODE_PATTERN_ITER)
+        graph, report, _patterns = expand_with_pattern_mining(
+            config, gateway, make_catalog(corpus.names)
+        )
+        assert [p.phrase for p in report.iterations[0].admitted] == ["And"]
+        truth = sorted(corpus.truth_graph().edges())
+        assert len(truth) == 114
+        assert [(a, b) for a, b, _w in sorted(graph.edges())] == [(a, b) for a, b, _w in truth]
+        # the edges planted only as "A And B" come from the revisits after `And`
+        # is admitted, which the memo answers: the first round ends at 74
+        assert report.iterations[0].edge_count == 74
+
 
 MINED = {"and": 3, "performs beside": 2, "dines with": 1}
 
