@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import IO, Callable, Iterable
 
 
@@ -19,7 +20,18 @@ class CatalogLoadError(ValueError):
     """Catalog input could not be decoded or read."""
 
 
-ALNUM_RUN = re.compile(r"[^\W_]+")
+# An alnum run. Its group makes `split` keep the runs between separators;
+# `findall` returns the runs alone.
+ALNUM_RUN = re.compile(r"([^\W_]+)")
+# On ASCII text both classes are [A-Za-z0-9], and the ASCII one is cheaper.
+ASCII_RUN = re.compile(r"([^\W_]+)", re.ASCII)
+
+
+def run_pattern(folded: str) -> re.Pattern[str]:
+    """The pattern that reads the alnum runs of `folded`: ASCII_RUN when it
+    is ASCII, else ALNUM_RUN. Pass folded text, since casefold can make a
+    text ASCII ("\u212aai" folds to "kai")."""
+    return ASCII_RUN if folded.isascii() else ALNUM_RUN
 
 
 def normalize_name(raw: str) -> str:
@@ -89,9 +101,11 @@ class _NamePlan:
     its lead (the text before the first run, as "-" in "-Bo"), its body
     (from the first run to the last, separators included) and its trail
     (the text after the last run, as "." in "Jr."). One tuple can file
-    several names ("Bo Quist", "Bo-Quist"). Every other name, one whose
-    first or last token holds no run ("& Bo"), is always searched with its
-    own pattern.
+    several names ("Bo Quist", "Bo-Quist"). `heads` maps the first run of
+    every filed tuple to the run counts of the tuples that start with it,
+    smallest first, so a text is looked up only where a name's first word
+    occurs. Every other name, one whose first or last token holds no run
+    ("& Bo"), is always searched with its own pattern.
     """
 
     def __init__(self, keys: Iterable[str]) -> None:
@@ -99,14 +113,17 @@ class _NamePlan:
         self.by_runs: dict[tuple[str, ...], list[tuple[str, str, str, str]]] = {}
         self.always: list[tuple[str, re.Pattern[str]]] = []
         for key in self.rank:
-            parts = re.split(r"([^\W_]+)", key)
+            parts = ALNUM_RUN.split(key)
             if len(parts) == 1 or " " in parts[0] + parts[-1]:
                 self.always.append((key, re.compile(_name_pattern(key))))
                 continue
             lead, trail = parts[0], parts[-1]
             entry = (key, lead, key[len(lead) : len(key) - len(trail)], trail)
             self.by_runs.setdefault(tuple(parts[1::2]), []).append(entry)
-        self.lengths = {len(runs) for runs in self.by_runs}
+        counts: dict[str, set[int]] = {}
+        for runs in self.by_runs:
+            counts.setdefault(runs[0], set()).add(len(runs))
+        self.heads = {head: sorted(ns) for head, ns in counts.items()}
 
 
 @dataclass
@@ -184,10 +201,12 @@ def find_entity_matches(
     `catalog_matcher(catalog)` of `tests/oracles.py`, one alternation over
     every key searched in `text.casefold()`, is the spec; this replays it.
     A name whose first and last tokens each hold an alnum run is found by
-    looking up each n consecutive alnum runs of the folded text among the
-    names of n runs. The folded text from the first of those runs to the
-    last, whitespace collapsed, must then equal the name's body, and the
-    text around them must hold its lead and trail. Other names (with a
+    looking up, at each alnum run of the folded text that is some name's
+    first run, the n runs from there among the names of n runs that start
+    with it. Runs are read with the ASCII run class when the folded text is
+    ASCII. The folded text from the first of those runs to the last,
+    whitespace collapsed, must then equal the name's body, and the text
+    around them must hold its lead and trail. Other names (with a
     first or last token that holds no run) are searched each with its own
     pattern at every start. The alternation's choice is then replayed:
     leftmost start first, then more tokens, more characters, smaller key.
@@ -227,28 +246,33 @@ def _replay_alternation(text: str, plan: _NamePlan) -> list[tuple[str, int, int]
             best[start] = (rank, end)
 
     low = text.casefold()
-    runs = list(ALNUM_RUN.finditer(low))
-    words = [run.group() for run in runs]
-    for n in plan.lengths:
-        for i, tokens in enumerate(zip(*(words[k:] for k in range(n)))):
-            filed = plan.by_runs.get(tokens)
+    # separator, run, separator, ..., run, separator: run j is parts[2j + 1]
+    parts = run_pattern(low).split(low)
+    words = parts[1::2]
+    offsets: list[int] = []  # where each part starts, computed at the first match
+    for i, head in enumerate(words):
+        for n in plan.heads.get(head, ()):
+            if i + n > len(words):
+                break
+            filed = plan.by_runs.get(tuple(words[i : i + n]))
             if filed is None:
                 continue
-            start, end = runs[i].start(), runs[i + n - 1].end()
-            found = " ".join(low[start:end].split())
+            found = " ".join("".join(parts[2 * i + 1 : 2 * (i + n)]).split())
+            # lead and trail reach no letter or digit beyond them
+            before, after = parts[2 * i], parts[2 * (i + n)]
             for key, lead, body, trail in filed:
                 if body != found:
                     continue
-                # lead and trail reach no letter or digit beyond them
                 if lead:
-                    before = low[runs[i - 1].end() if i else 0 : start]
                     if not before.endswith(lead) or (i and len(before) == len(lead)):
                         continue
                 if trail:
-                    more = i + n < len(runs)
-                    after = low[end : runs[i + n].start() if more else len(low)]
+                    more = i + n < len(words)
                     if not after.startswith(trail) or (more and len(after) == len(trail)):
                         continue
+                if not offsets:
+                    offsets = [0, *accumulate(map(len, parts))]
+                start, end = offsets[2 * i + 1], offsets[2 * (i + n)]
                 offer(key, start - len(lead), end + len(trail))
     for key, rx in plan.always:
         m = rx.search(low)

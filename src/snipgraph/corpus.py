@@ -93,7 +93,10 @@ def pa_edge_list(
         raise ValueError("attach must be >= 1")
     if not 0 <= exponent < math.inf:
         raise ValueError("exponent must be >= 0 and finite")
-    exponent = float(exponent)  # an int ** int power never overflows; a float one does
+    try:
+        exponent = float(exponent)  # an int ** int power never overflows; a float one does
+    except OverflowError:
+        raise ValueError("exponent is too large: it overflows a float") from None
     edges: set[tuple[int, int]] = {(0, 1)}
     degree = [1, 1]
     for v in range(2, n_nodes):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import IO, Any, Callable, Iterable, Protocol
 from urllib.parse import urlparse
 
-from .catalog import ALNUM_RUN, fold_text, folded_phrase_test, normalize_name
+from .catalog import fold_text, folded_phrase_test, normalize_name, run_pattern
 
 PAGE_SIZE = 50
 
@@ -197,11 +197,12 @@ def load_corpus(source: IO[str] | Iterable[str]) -> list[CorpusRecord]:
             raise CorpusFormatError(
                 f"line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
             )
-        try:
-            url, domain, text = (unescape_field(f) for f in fields)
-        except ValueError as exc:
-            raise CorpusFormatError(f"line {lineno}: {exc}") from exc
-        records.append(CorpusRecord(url, domain, text))
+        if "\\" in raw:  # a line without one has nothing to unescape
+            try:
+                fields = [unescape_field(f) for f in fields]
+            except ValueError as exc:
+                raise CorpusFormatError(f"line {lineno}: {exc}") from exc
+        records.append(CorpusRecord(*fields))
     return records
 
 
@@ -375,7 +376,8 @@ class ReplayBackend:
 
     Each query's phrases are folded once by `catalog.fold_text` (casefolded,
     each whitespace run one space), as is each record's text, and alnum runs
-    are read from folded text without folding it again. Only candidate
+    are read from folded text without folding it again, with the ASCII run
+    class when that text is ASCII (`catalog.run_pattern`). Only candidate
     records are tested against the phrases: those holding every run of every
     phrase, found by intersecting the posting lists of an inverted index from
     run to record, shortest first, or every record when the phrases hold no
@@ -398,12 +400,17 @@ class ReplayBackend:
 
     def _index(self) -> dict[str, list[int]]:
         if self._postings is None:
-            self._postings = {}
+            postings: dict[str, list[int]] = {}
             for i, rec in enumerate(self.records):
                 folded = fold_text(rec.text)
                 self._folded.append(folded)
-                for run in set(ALNUM_RUN.findall(folded)):
-                    self._postings.setdefault(run, []).append(i)
+                for run in set(run_pattern(folded).findall(folded)):
+                    posting = postings.get(run)
+                    if posting is None:
+                        postings[run] = [i]
+                    else:
+                        posting.append(i)
+            self._postings = postings
         return self._postings
 
     def _candidates(self, bodies: tuple[str, ...]) -> list[int]:
@@ -412,7 +419,8 @@ class ReplayBackend:
         postings = self._index()
         # a token-bounded match of a folded phrase in a folded text implies
         # that every run of the phrase is a run of the text
-        runs = set(ALNUM_RUN.findall(" ".join(bodies)))
+        joined = " ".join(bodies)
+        runs = set(run_pattern(joined).findall(joined))
         if not runs:
             return list(range(len(self.records)))
         lists = sorted((postings.get(run, []) for run in runs), key=len)

@@ -52,6 +52,10 @@ class TestPaEdgeList:
         with pytest.raises(ValueError, match="exponent 1024 is too large"):
             pa_edge_list(8, 2, random.Random(0), exponent=1024)
 
+    def test_int_exponent_past_float_range_raises_value_error(self):
+        with pytest.raises(ValueError, match="exponent is too large"):
+            pa_edge_list(8, 2, random.Random(0), exponent=10**400)
+
     def test_edge_count_with_full_attachment(self):
         edges = pa_edge_list(6, 2, random.Random(7))
         assert len(edges) == 9

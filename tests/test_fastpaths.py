@@ -9,20 +9,30 @@ prefix. The generated texts, names and queries are built from pieces chosen
 to reach the hard cases: inner punctuation, `_` and digits next to a name,
 letters whose casefold is longer ("ß", "ﬁ") or differs from IGNORECASE ("İ",
 "ı", "ſ", the Kelvin sign), "\u0345", which casefold turns into a letter,
-overlapping and self-overlapping names, and mixed whitespace runs. Replay
+overlapping and self-overlapping names, and mixed whitespace runs. Both
+fast paths read the alnum runs of ASCII folded text with the ASCII run
+class, checked against the Unicode one on every ASCII code point. Replay
 folds each text and phrase once, on the premise, checked on every code
 point, that folding a folded text changes nothing. The corpus generator's
 `pa_edge_list` is checked against `weighted_pa_edge_list`, which hands
 random.choices the weights on every draw.
 """
 
+import os
 import random
 import sys
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from snipgraph.catalog import find_entity_matches, fold_text, folded_phrase_test
+from snipgraph.catalog import (
+    ALNUM_RUN,
+    ASCII_RUN,
+    find_entity_matches,
+    fold_text,
+    folded_phrase_test,
+    run_pattern,
+)
 from snipgraph.corpus import pa_edge_list
 from snipgraph.search import (
     CorpusRecord,
@@ -65,8 +75,10 @@ def joined(draw, parts, seps, min_size=1, max_size=4):
 names = joined(pieces, spaces, max_size=3)
 texts = joined(words, separators, max_size=12)
 
+# FASTPATH_EXAMPLES raises the example budget of every property here, as CI
+# does in a job of its own
 SETTINGS = settings(
-    max_examples=250,
+    max_examples=int(os.environ.get("FASTPATH_EXAMPLES", "250")),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -95,6 +107,18 @@ class TestEntitySpotting:
     @example(first=["Bo - Quist", "Quist"], later=[], batch=["Bo-Quist", "Bo -\tQuist"])
     # spans mapped back past letters whose fold is longer, before and inside a name
     @example(first=["Kai Strauß Jr.", "ß"], later=[], batch=["ßx Kai STRAUSS Jr. \ufb01 ß"])
+    # text that is ASCII only once folded, read with the ASCII run class
+    @example(
+        first=["Kai Quist", "Sam"], later=["Strauss"],
+        batch=["\u212aai Quist", "\u017fam", "STRAUß", "\u212aai Quist \u017fam STRAUß"],
+    )
+    # a head whose run tuple would run past the end of the text
+    @example(first=["Bo Quist Senior", "Bo"], later=[], batch=["x Bo Quist"])
+    # one head shared by names of 1, 2 and 3 runs
+    @example(
+        first=["Bo", "Bo Quist", "Bo Ada Veil"], later=["Bo-Ada"],
+        batch=["Bo Ada Veil Bo Quist Bo-Ada x Bo"],
+    )
     def test_equals_alternation_as_the_catalog_grows(self, first, later, batch):
         catalog = make_catalog(first)
         for text in batch:
@@ -103,6 +127,22 @@ class TestEntitySpotting:
             catalog.add(name)
         for text in batch:
             assert find_entity_matches(text, catalog) == alternation_matches(text, catalog)
+
+
+class TestAsciiRuns:
+    @SETTINGS
+    @given(text=st.text(alphabet=st.characters(max_codepoint=127)))
+    # ASCII only once folded: the Kelvin sign, long s and sharp s
+    @example(text="\u212aai Quist")
+    @example(text="\u017fam")
+    @example(text="STRAUß")
+    def test_chosen_class_reads_the_runs_of_folded_text(self, text):
+        folded = text.casefold()
+        assert run_pattern(folded).split(folded) == ALNUM_RUN.split(folded)
+
+    def test_classes_agree_on_every_ascii_code_point(self):
+        text = "".join(map(chr, range(128)))
+        assert ASCII_RUN.split(text) == ALNUM_RUN.split(text)
 
 
 def quoted_terms():

@@ -148,6 +148,21 @@ class TestCorpusTsv:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             assert load_corpus(fh) == records
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fields=st.lists(
+            st.tuples(*[st.text(st.sampled_from("ab \\\t\n\r") | st.characters())] * 3),
+            max_size=5,
+        )
+    )
+    @example(fields=[("u", "d", "plain"), ("u\\", "d", "a\\tb"), ("", "\r", "x\n\t\\")])
+    def test_load_of_saved_records_equals_records(self, fields):
+        # lines with and without a backslash take different routes in load_corpus
+        records = [CorpusRecord(*f) for f in fields]
+        buf = io.StringIO(newline="")
+        save_corpus(records, buf)
+        assert load_corpus(io.StringIO(buf.getvalue(), newline="")) == records
+
     def test_load_skips_blank_lines(self):
         assert load_corpus(["", "u\td\tt", ""]) == [CorpusRecord("u", "d", "t")]
 
