@@ -34,6 +34,17 @@ def run_pattern(folded: str) -> re.Pattern[str]:
     return ASCII_RUN if folded.isascii() else ALNUM_RUN
 
 
+def words_are_runs(words: list[str]) -> bool:
+    """True when the whitespace words of a text (its `split()`) are its alnum
+    runs, as ALNUM_RUN reads them: when every character of every word is a
+    letter or digit. `[^\\W_]` matches exactly the characters for which
+    `str.isalnum()` holds, `\\s` exactly those for which `str.isspace()`
+    holds, and no character is both (a test checks every code point), so
+    each word is then one whole run and everything between words is a
+    separator. A text with no word has no run either way."""
+    return "".join(words).isalnum()
+
+
 def normalize_name(raw: str) -> str:
     """Canonical lookup form: NFC, casefold, whitespace runs collapsed, trimmed."""
     s = unicodedata.normalize("NFC", raw).casefold()
@@ -203,16 +214,22 @@ def find_entity_matches(
     A name whose first and last tokens each hold an alnum run is found by
     looking up, at each alnum run of the folded text that is some name's
     first run, the n runs from there among the names of n runs that start
-    with it. Runs are read with the ASCII run class when the folded text is
-    ASCII. The folded text from the first of those runs to the last,
-    whitespace collapsed, must then equal the name's body, and the text
-    around them must hold its lead and trail. Other names (with a
-    first or last token that holds no run) are searched each with its own
-    pattern at every start. The alternation's choice is then replayed:
-    leftmost start first, then more tokens, more characters, smaller key.
-    The plan behind it is built on the first text. When casefold changes
-    the text's length ("ß" to "ss"), spans are mapped back to the
-    characters of `text` whose folds they cover.
+    with it. When every whitespace word of the folded text is letters and
+    digits (`words_are_runs`) and one whitespace character parts each word
+    from the next, the words are the runs, read with `str.split` and no
+    regex, and the n words from there joined by spaces must be the name's
+    key: a lead or trail is punctuation and cannot match beside whitespace.
+    Any other text is split into runs and separators by the run pattern,
+    with the ASCII run class when the folded text is ASCII; the folded text
+    from the first of the n runs to the last, whitespace collapsed, must
+    then equal the name's body, and the text around them must hold its
+    lead and trail. Other names (with a first or last token that holds no
+    run) are searched each with its own pattern at every start. The
+    alternation's choice is then replayed: leftmost start first, then more
+    tokens, more characters, smaller key. The plan behind it is built on
+    the first text. When casefold changes the text's length ("ß" to "ss"),
+    spans are mapped back to the characters of `text` whose folds they
+    cover.
 
     `memo`, when given, maps texts already spotted to their result: a text
     found there is answered from it, and any other text's result is stored
@@ -246,14 +263,31 @@ def _replay_alternation(text: str, plan: _NamePlan) -> list[tuple[str, int, int]
             best[start] = (rank, end)
 
     low = text.casefold()
-    # separator, run, separator, ..., run, separator: run j is parts[2j + 1]
-    parts = run_pattern(low).split(low)
-    words = parts[1::2]
-    offsets: list[int] = []  # where each part starts, computed at the first match
+    words = low.split()
+    # Clean text, letters and digits with one whitespace character between
+    # words: the words are the runs, and a filed name matches at word i
+    # exactly when its key is the words from there joined by spaces, since
+    # a lead or trail is punctuation and the separators are whitespace.
+    clean = words_are_runs(words) and len(" ".join(words)) == len(low)
+    if not clean:
+        # separator, run, separator, ..., run, separator: run j is parts[2j + 1]
+        parts = run_pattern(low).split(low)
+        words = parts[1::2]
+    # computed at the first match: in clean text, the length of the words
+    # before each word, so word j starts at offsets[j] + j; else where each
+    # part starts
+    offsets: list[int] = []
     for i, head in enumerate(words):
         for n in plan.heads.get(head, ()):
             if i + n > len(words):
                 break
+            if clean:
+                key = " ".join(words[i : i + n])
+                if key in plan.rank:
+                    if not offsets:
+                        offsets = [0, *accumulate(map(len, words))]
+                    offer(key, offsets[i] + i, offsets[i + n] + i + n - 1)
+                continue
             filed = plan.by_runs.get(tuple(words[i : i + n]))
             if filed is None:
                 continue

@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 from typing import IO, Any, Callable, Iterable, Protocol
 from urllib.parse import urlparse
 
-from .catalog import fold_text, folded_phrase_test, normalize_name, run_pattern
+from .catalog import (
+    fold_text,
+    folded_phrase_test,
+    normalize_name,
+    run_pattern,
+    words_are_runs,
+)
 
 PAGE_SIZE = 50
 
@@ -376,17 +382,22 @@ class ReplayBackend:
 
     Each query's phrases are folded once by `catalog.fold_text` (casefolded,
     each whitespace run one space), as is each record's text, and alnum runs
-    are read from folded text without folding it again, with the ASCII run
-    class when that text is ASCII (`catalog.run_pattern`). Only candidate
-    records are tested against the phrases: those holding every run of every
-    phrase, found by intersecting the posting lists of an inverted index from
-    run to record, shortest first, or every record when the phrases hold no
-    run. The index is built on the first query, in one pass that also keeps
-    each record's folded text. A candidate is then checked by
-    `catalog.folded_phrase_test`, one str.find per phrase in its folded text,
-    with no regex compiled. So "Strauß" and "STRAUSS" match one phrase, while
-    "İris" and "ıris" do not match "Iris". The cost of a query thus grows
-    with the records that can match, not with the corpus.
+    are read from folded text without folding it again: when every
+    whitespace word is letters and digits (`catalog.words_are_runs`), the
+    words are the runs, and no regex reads them; otherwise the run pattern
+    does, with the ASCII run class when that text is ASCII
+    (`catalog.run_pattern`). Only candidate records are tested against the
+    phrases: those holding every run of every phrase, or every record when
+    the phrases hold no run. They are found in an inverted index from run to
+    record by walking the short side: the rarest run's posting list is
+    copied into a set, and each longer list is met as a set of its own,
+    built the first time a query needs it and kept, so each intersection
+    costs the smaller side. The index is built on the first query, in one
+    pass that also keeps each record's folded text. A candidate is then
+    checked by `catalog.folded_phrase_test`, one str.find per phrase in its
+    folded text, with no regex compiled. So "Strauß" and "STRAUSS" match one
+    phrase, while "İris" and "ıris" do not match "Iris". The cost of a query
+    thus grows with the records that can match, not with the corpus.
 
     Answers are memoised by the quoted phrases, since nothing else in a
     query decides them: `"A" and`, `"A" with` and `"A"` share one scan.
@@ -397,14 +408,19 @@ class ReplayBackend:
         self._memo: dict[tuple[str, ...], list[CorpusRecord]] = {}
         self._postings: dict[str, list[int]] | None = None
         self._folded: list[str] = []
+        # the posting lists that a query met beside a shorter one, as sets
+        self._sets: dict[str, set[int]] = {}
 
     def _index(self) -> dict[str, list[int]]:
         if self._postings is None:
             postings: dict[str, list[int]] = {}
             for i, rec in enumerate(self.records):
-                folded = fold_text(rec.text)
+                runs = rec.text.casefold().split()
+                folded = " ".join(runs)  # fold_text(rec.text)
                 self._folded.append(folded)
-                for run in set(run_pattern(folded).findall(folded)):
+                if not words_are_runs(runs):
+                    runs = run_pattern(folded).findall(folded)
+                for run in set(runs):
                     posting = postings.get(run)
                     if posting is None:
                         postings[run] = [i]
@@ -420,15 +436,21 @@ class ReplayBackend:
         # a token-bounded match of a folded phrase in a folded text implies
         # that every run of the phrase is a run of the text
         joined = " ".join(bodies)
-        runs = set(run_pattern(joined).findall(joined))
+        runs = joined.split()
+        if not words_are_runs(runs):
+            runs = run_pattern(joined).findall(joined)
+        runs = sorted(set(runs), key=lambda run: len(postings.get(run, ())))
         if not runs:
             return list(range(len(self.records)))
-        lists = sorted((postings.get(run, []) for run in runs), key=len)
-        hits = set(lists[0])
-        for posting in lists[1:]:
+        # walk the short side: a longer list is met as a set, built once per run
+        hits = set(postings.get(runs[0], ()))
+        for run in runs[1:]:
             if not hits:
                 break
-            hits.intersection_update(posting)
+            held = self._sets.get(run)
+            if held is None:
+                held = self._sets[run] = set(postings[run])
+            hits &= held
         return sorted(hits)
 
     def _matches(self, raw_query: str) -> list[CorpusRecord]:

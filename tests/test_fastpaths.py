@@ -11,15 +11,23 @@ letters whose casefold is longer ("ß", "ﬁ") or differs from IGNORECASE ("İ",
 "ı", "ſ", the Kelvin sign), "\u0345", which casefold turns into a letter,
 overlapping and self-overlapping names, and mixed whitespace runs. Both
 fast paths read the alnum runs of ASCII folded text with the ASCII run
-class, checked against the Unicode one on every ASCII code point. Replay
-folds each text and phrase once, on the premise, checked on every code
-point, that folding a folded text changes nothing. The corpus generator's
-`pa_edge_list` is checked against `weighted_pa_edge_list`, which hands
-random.choices the weights on every draw.
+class, checked against the Unicode one on every ASCII code point. Where a
+folded text's whitespace words are all letters and digits, both take the
+words as its runs without a regex (spotting only where one whitespace
+character parts each word from the next), on the premise, checked on
+every code point, that the run class is `str.isalnum`, `\\s` is
+`str.isspace`, and no character is both. `clean_texts` draws such texts,
+with " ", tab and "\x1c" between the words, which the mixed generator
+rarely does. Replay folds each text and phrase once, on the premise,
+checked on every code point, that folding a folded text changes nothing.
+The corpus generator's `pa_edge_list` is checked against
+`weighted_pa_edge_list`, which hands random.choices the weights on every
+draw.
 """
 
 import os
 import random
+import re
 import sys
 
 from hypothesis import HealthCheck, example, given, settings
@@ -32,6 +40,7 @@ from snipgraph.catalog import (
     fold_text,
     folded_phrase_test,
     run_pattern,
+    words_are_runs,
 )
 from snipgraph.corpus import pa_edge_list
 from snipgraph.search import (
@@ -74,6 +83,14 @@ def joined(draw, parts, seps, min_size=1, max_size=4):
 
 names = joined(pieces, spaces, max_size=3)
 texts = joined(words, separators, max_size=12)
+# letters and digits, before or after folding, one whitespace character
+# apart: the texts whose words are their runs
+CLEAN_PIECES = tuple(
+    p for p in NAME_PIECES + FILLER if p.isalnum() or p.casefold().isalnum()
+)
+clean_texts = joined(
+    st.sampled_from(CLEAN_PIECES), st.sampled_from((" ", "\t", "\x1c")), max_size=12
+)
 
 # FASTPATH_EXAMPLES raises the example budget of every property here, as CI
 # does in a job of its own
@@ -89,7 +106,7 @@ class TestEntitySpotting:
     @given(
         first=st.lists(names, min_size=1, max_size=6),
         later=st.lists(names, max_size=4),
-        batch=st.lists(texts, min_size=1, max_size=4),
+        batch=st.lists(st.one_of(texts, clean_texts), min_size=1, max_size=4),
     )
     @example(first=["Bo Quist"], later=["Bo Quist Senior"], batch=["met Bo Quist Senior"])
     @example(first=["Bo Bo"], later=["Bo Bo Bo"], batch=["Bo Bo Bo Bo"])
@@ -112,6 +129,15 @@ class TestEntitySpotting:
         first=["Kai Quist", "Sam"], later=["Strauss"],
         batch=["\u212aai Quist", "\u017fam", "STRAUß", "\u212aai Quist \u017fam STRAUß"],
     )
+    # clean text: spans mapped back past a longer fold, a name that ends the
+    # text, and names with a lead or trail, which cannot match there; then
+    # the same words, but not one whitespace character apart
+    @example(
+        first=["Bo Quist", "Ada"], later=[],
+        batch=["Strauß Bo\tQuist Ada", "STRAUß  Ada", " Bo Quist", "Bo Quist\n"],
+    )
+    @example(first=["Bo Quist", "Quist"], later=["Ada Bo"], batch=["x\x1cAda Bo Quist"])
+    @example(first=["Kai Jr.", "-Bo", "Kai"], later=["Jr"], batch=["Kai Jr Bo", "x Bo Kai"])
     # a head whose run tuple would run past the end of the text
     @example(first=["Bo Quist Senior", "Bo"], later=[], batch=["x Bo Quist"])
     # one head shared by names of 1, 2 and 3 runs
@@ -160,7 +186,7 @@ def queries(draw):
 class TestReplayIndex:
     @SETTINGS
     @given(
-        corpus=st.lists(texts, max_size=12),
+        corpus=st.lists(st.one_of(texts, clean_texts), max_size=12),
         batch=st.lists(st.tuples(queries(), st.integers(0, 3), st.integers(1, 5)),
                        min_size=1, max_size=5),
     )
@@ -190,6 +216,13 @@ class TestReplayIndex:
     @example(corpus=["Bo Quistx Quist"], batch=[('"Bo Quist"', 0, 5)])
     @example(corpus=["x-Bo"], batch=[('"-Bo"', 0, 5)])
     @example(corpus=["xBo Quist bo"], batch=[('"Bo Quist"', 0, 5)])
+    # clean records, whose words are their runs, and one that is clean only
+    # once folded; the punctuated phrases hold runs of the clean records
+    @example(
+        corpus=["Ada\tBo Quist", "Strauß\x1cBo", "Bo Quist \u0345x", "bo quist and"],
+        batch=[('"Bo Quist" "Ada"', 0, 5), ('"-Bo"', 0, 5), ('"Kai Jr." "Bo"', 0, 5),
+               ('"strauss bo"', 0, 5), ('"\u0345x"', 0, 5)],
+    )
     def test_fetch_equals_linear_scan(self, corpus, batch):
         records = [CorpusRecord(f"u{i}", "d", text) for i, text in enumerate(corpus)]
         backend = ReplayBackend(records)
@@ -212,6 +245,26 @@ class TestFoldedPhrase:
     def test_folding_a_folded_text_changes_nothing(self):
         for folded in map(fold_text, map(chr, range(sys.maxunicode + 1))):
             assert fold_text(folded) == folded, ascii(folded)
+
+    def test_run_and_whitespace_classes_are_isalnum_and_isspace(self):
+        # the premise of words_are_runs, on every code point
+        chars = "".join(map(chr, range(sys.maxunicode + 1)))
+        alnum = "".join(ALNUM_RUN.findall(chars))
+        assert alnum == "".join(filter(str.isalnum, chars))
+        space = "".join(re.findall(r"\s", chars))
+        assert space == "".join(filter(str.isspace, chars))
+        assert not set(alnum) & set(space)
+
+    @SETTINGS
+    @given(text=st.one_of(texts, clean_texts))
+    @example(text="Strauß\tBo\x1c7")
+    @example(text="\u0345x Bo")
+    @example(text="\u0130ris Bo")
+    def test_words_that_pass_the_check_are_the_runs(self, text):
+        folded = fold_text(text)
+        words = folded.split()
+        if words_are_runs(words):
+            assert words == ALNUM_RUN.findall(folded)
 
 
 class TestReplayCompiles:
