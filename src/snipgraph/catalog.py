@@ -20,29 +20,38 @@ class CatalogLoadError(ValueError):
     """Catalog input could not be decoded or read."""
 
 
-# An alnum run. Its group makes `split` keep the runs between separators;
-# `findall` returns the runs alone.
-ALNUM_RUN = re.compile(r"([^\W_]+)")
-# On ASCII text both classes are [A-Za-z0-9], and the ASCII one is cheaper.
-ASCII_RUN = re.compile(r"([^\W_]+)", re.ASCII)
+# A run of letters and digits, the one token. The group makes `split` keep
+# the runs between separators. On ASCII text both classes are [A-Za-z0-9],
+# and the ASCII one is cheaper.
+_RUN = re.compile(r"([^\W_]+)")
+_ASCII_RUN = re.compile(r"([^\W_]+)", re.ASCII)
 
 
-def run_pattern(folded: str) -> re.Pattern[str]:
-    """The pattern that reads the alnum runs of `folded`: ASCII_RUN when it
-    is ASCII, else ALNUM_RUN. Pass folded text, since casefold can make a
-    text ASCII ("\u212aai" folds to "kai")."""
-    return ASCII_RUN if folded.isascii() else ALNUM_RUN
+def _run_pattern(text: str) -> re.Pattern[str]:
+    return _ASCII_RUN if text.isascii() else _RUN
 
 
-def words_are_runs(words: list[str]) -> bool:
-    """True when the whitespace words of a text (its `split()`) are its alnum
-    runs, as ALNUM_RUN reads them: when every character of every word is a
-    letter or digit. `[^\\W_]` matches exactly the characters for which
-    `str.isalnum()` holds, `\\s` exactly those for which `str.isspace()`
-    holds, and no character is both (a test checks every code point), so
-    each word is then one whole run and everything between words is a
-    separator. A text with no word has no run either way."""
-    return "".join(words).isalnum()
+# True when a text is one whole run. `[^\W_]` matches exactly the `isalnum`
+# characters, `\s` exactly the `isspace` ones, and none is both (a test
+# checks every code point), so a whitespace word that passes is one run. An
+# alias, not a function, as it runs on each word of punctuated text.
+_one_run = str.isalnum
+
+
+def text_runs(words: list[str]) -> list[str]:
+    """The runs of a folded text, given its `split()`, in order: `words`
+    itself when every word is one run, else each word that is one run and
+    the runs that the run pattern reads in each other word. Runs never span
+    whitespace, so word by word gives the runs of the whole text."""
+    if _one_run("".join(words)):
+        return words
+    runs: list[str] = []
+    for word in words:
+        if _one_run(word):
+            runs.append(word)
+        else:
+            runs += _run_pattern(word).findall(word)
+    return runs
 
 
 def normalize_name(raw: str) -> str:
@@ -55,7 +64,7 @@ def fold_text(text: str) -> str:
     """`text` casefolded, every whitespace run one space, ends trimmed.
 
     This is the form in which every text is compared with a phrase, by
-    `folded_phrase_test` in replay. It keeps the alnum runs of
+    `folded_phrase_test` in replay. It keeps the runs of
     `text.casefold()`; casefold never turns whitespace into anything else or
     anything else into whitespace. Folding a folded text changes nothing, as
     casefold is idempotent on every code point, so none is folded twice.
@@ -107,16 +116,16 @@ def _name_pattern(key: str) -> str:
 class _NamePlan:
     """How to find each catalog name in a casefolded text.
 
-    A name whose first and last whitespace tokens each hold an alnum run is
-    a fixed sequence of runs. It is filed under that run tuple with
-    its lead (the text before the first run, as "-" in "-Bo"), its body
-    (from the first run to the last, separators included) and its trail
-    (the text after the last run, as "." in "Jr."). One tuple can file
-    several names ("Bo Quist", "Bo-Quist"). `heads` maps the first run of
-    every filed tuple to the run counts of the tuples that start with it,
-    smallest first, so a text is looked up only where a name's first word
-    occurs. Every other name, one whose first or last token holds no run
-    ("& Bo"), is always searched with its own pattern.
+    A name whose first and last whitespace tokens each hold a run (the
+    token of `text_runs`) is a fixed sequence of runs. It is filed under
+    that run tuple with its lead (the text before the first run, as "-" in
+    "-Bo"), its body (from the first run to the last, separators included)
+    and its trail (the text after the last run, as "." in "Jr."). One
+    tuple can file several names ("Bo Quist", "Bo-Quist"). `heads` maps the
+    first run of every filed tuple to the run counts of the tuples that
+    start with it, smallest first, so a text is looked up only where a
+    name's first word occurs. Every other name, one whose first or last
+    token holds no run ("& Bo"), is always searched with its own pattern.
     """
 
     def __init__(self, keys: Iterable[str]) -> None:
@@ -124,7 +133,7 @@ class _NamePlan:
         self.by_runs: dict[tuple[str, ...], list[tuple[str, str, str, str]]] = {}
         self.always: list[tuple[str, re.Pattern[str]]] = []
         for key in self.rank:
-            parts = ALNUM_RUN.split(key)
+            parts = _RUN.split(key)
             if len(parts) == 1 or " " in parts[0] + parts[-1]:
                 self.always.append((key, re.compile(_name_pattern(key))))
                 continue
@@ -211,19 +220,17 @@ def find_entity_matches(
 
     `catalog_matcher(catalog)` of `tests/oracles.py`, one alternation over
     every key searched in `text.casefold()`, is the spec; this replays it.
-    A name whose first and last tokens each hold an alnum run is found by
-    looking up, at each alnum run of the folded text that is some name's
-    first run, the n runs from there among the names of n runs that start
-    with it. When every whitespace word of the folded text is letters and
-    digits (`words_are_runs`) and one whitespace character parts each word
-    from the next, the words are the runs, read with `str.split` and no
-    regex, and the n words from there joined by spaces must be the name's
+    A name whose first and last tokens each hold a run (as `text_runs`
+    reads them) is found by looking up, at each run of the folded text that
+    is some name's first run, the n runs from there among the names of n
+    runs that start with it. When every whitespace word is one run and one
+    whitespace character parts each word from the next, the words are the
+    runs, and the n words from there joined by spaces must be the name's
     key: a lead or trail is punctuation and cannot match beside whitespace.
-    Any other text is split into runs and separators by the run pattern,
-    with the ASCII run class when the folded text is ASCII; the folded text
-    from the first of the n runs to the last, whitespace collapsed, must
-    then equal the name's body, and the text around them must hold its
-    lead and trail. Other names (with a first or last token that holds no
+    Any other text is split into runs and separators; the folded text from
+    the first of the n runs to the last, whitespace collapsed, must then
+    equal the name's body, and the text around them must hold its lead and
+    trail. Other names (with a first or last token that holds no
     run) are searched each with its own pattern at every start. The
     alternation's choice is then replayed: leftmost start first, then more
     tokens, more characters, smaller key. The plan behind it is built on
@@ -268,10 +275,10 @@ def _replay_alternation(text: str, plan: _NamePlan) -> list[tuple[str, int, int]
     # words: the words are the runs, and a filed name matches at word i
     # exactly when its key is the words from there joined by spaces, since
     # a lead or trail is punctuation and the separators are whitespace.
-    clean = words_are_runs(words) and len(" ".join(words)) == len(low)
+    clean = _one_run("".join(words)) and len(" ".join(words)) == len(low)
     if not clean:
         # separator, run, separator, ..., run, separator: run j is parts[2j + 1]
-        parts = run_pattern(low).split(low)
+        parts = _run_pattern(low).split(low)
         words = parts[1::2]
     # computed at the first match: in clean text, the length of the words
     # before each word, so word j starts at offsets[j] + j; else where each

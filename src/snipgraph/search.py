@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 from typing import IO, Any, Callable, Iterable, Protocol
 from urllib.parse import urlparse
 
-from .catalog import (
-    fold_text,
-    folded_phrase_test,
-    normalize_name,
-    run_pattern,
-    words_are_runs,
-)
+from .catalog import fold_text, folded_phrase_test, normalize_name, text_runs
 
 PAGE_SIZE = 50
 
@@ -381,21 +375,18 @@ class ReplayBackend:
     ranking and makes replay runs fully deterministic.
 
     Each query's phrases are folded once by `catalog.fold_text` (casefolded,
-    each whitespace run one space), as is each record's text, and alnum runs
-    are read from folded text without folding it again: when every
-    whitespace word is letters and digits (`catalog.words_are_runs`), the
-    words are the runs, and no regex reads them; otherwise the run pattern
-    does, with the ASCII run class when that text is ASCII
-    (`catalog.run_pattern`). Only candidate records are tested against the
-    phrases: those holding every run of every phrase, or every record when
-    the phrases hold no run. They are found in an inverted index from run to
-    record by walking the short side: the rarest run's posting list is
-    copied into a set, and each longer list is met as a set of its own,
-    built the first time a query needs it and kept, so each intersection
-    costs the smaller side. The index is built on the first query, in one
-    pass that also keeps each record's folded text. A candidate is then
-    checked by `catalog.folded_phrase_test`, one str.find per phrase in its
-    folded text, with no regex compiled. So "Strauß" and "STRAUSS" match one
+    each whitespace run one space), as is each record's text, and the runs
+    of both are read from their whitespace words by `catalog.text_runs`.
+    Only candidate records are tested against the phrases: those holding
+    every run of every phrase, or every record when the phrases hold no
+    run. They are found in an inverted index from run to record by walking
+    the short side: the rarest run's posting list is copied into a set, and
+    each longer list is met as a set of its own, built the first time a
+    query needs it and kept, so each intersection costs the smaller side.
+    The index is built on the first query, in one pass that also keeps each
+    record's folded text. A candidate is then checked by
+    `catalog.folded_phrase_test`, one str.find per phrase in its folded
+    text, with no regex compiled. So "Strauß" and "STRAUSS" match one
     phrase, while "İris" and "ıris" do not match "Iris". The cost of a query
     thus grows with the records that can match, not with the corpus.
 
@@ -415,12 +406,9 @@ class ReplayBackend:
         if self._postings is None:
             postings: dict[str, list[int]] = {}
             for i, rec in enumerate(self.records):
-                runs = rec.text.casefold().split()
-                folded = " ".join(runs)  # fold_text(rec.text)
-                self._folded.append(folded)
-                if not words_are_runs(runs):
-                    runs = run_pattern(folded).findall(folded)
-                for run in set(runs):
+                words = rec.text.casefold().split()
+                self._folded.append(" ".join(words))  # fold_text(rec.text)
+                for run in set(text_runs(words)):
                     posting = postings.get(run)
                     if posting is None:
                         postings[run] = [i]
@@ -435,10 +423,7 @@ class ReplayBackend:
         postings = self._index()
         # a token-bounded match of a folded phrase in a folded text implies
         # that every run of the phrase is a run of the text
-        joined = " ".join(bodies)
-        runs = joined.split()
-        if not words_are_runs(runs):
-            runs = run_pattern(joined).findall(joined)
+        runs = text_runs(" ".join(bodies).split())
         runs = sorted(set(runs), key=lambda run: len(postings.get(run, ())))
         if not runs:
             return list(range(len(self.records)))

@@ -1,11 +1,12 @@
 """The specs that snipgraph's fast paths are proved equal to.
 
 Each function here is the plain statement of a rule the package
-implements faster: `phrase_regex` and `linear_fetch` of replay's folded
-phrase check and inverted index, `catalog_matcher` and
-`alternation_matches` of `find_entity_matches`, `weighted_pa_edge_list` of
-`corpus.pa_edge_list`. The text specs compare casefolded text.
-`tests/test_fastpaths.py` checks each fast path against them.
+implements faster: `alnum_runs` of `catalog.text_runs`, `phrase_regex` and
+`linear_fetch` of replay's folded phrase check and inverted index,
+`catalog_matcher` and `alternation_matches` of `find_entity_matches`,
+`weighted_pa_edge_list` of `corpus.pa_edge_list`. The text specs compare
+casefolded text. `tests/test_fastpaths.py` checks each fast path against
+them.
 
 `stepwise_baseline_pairwise` is the pairwise baseline as it was before its
 steps went through `Run.grow`: it adds each accepted edge to the graph as
@@ -35,6 +36,12 @@ from snipgraph.search import (
     pair_query,
     parse_query_terms,
 )
+
+
+def alnum_runs(text: str) -> list[str]:
+    """The runs of letters and digits of `text`, the token of replay and
+    spotting; the spec of `catalog.text_runs(text.split())`."""
+    return re.findall(r"[^\W_]+", text)
 
 
 def phrase_regex(phrase: str) -> re.Pattern[str]:

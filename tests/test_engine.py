@@ -436,6 +436,39 @@ class TestPatternMining:
         from_iterations = [s for it in report.iterations for s in it.steps]
         assert from_iterations == report.steps
 
+    @pytest.mark.parametrize(
+        "h, candidates, admitted, hit, requests",
+        [
+            # the h heaviest edges were all found through "and", so their
+            # pair snippets hold no other phrase and the run stops at half
+            # the graph
+            (3, [("and", 2304)], [[]], 85, 60),
+            (
+                100,
+                [("and", 2350080), ("performs beside", 282240), ("dines with", 127776)],
+                [["performs beside", "dines with"], []],
+                174,
+                286,
+            ),
+        ],
+    )
+    def test_heaviest_pairs_can_hide_every_planted_phrase(
+        self, h, candidates, admitted, hit, requests
+    ):
+        corpus = synthesize(n_nodes=60, attach=3, noise_ratio=1.0, seed=1, patterns=MINED)
+        gateway = SearchGateway(ReplayBackend(corpus.records))
+        config = RunConfig(seeds=(corpus.names[0],), mode=MODE_PATTERN_ITER, h=h)
+        graph, report, _patterns = expand_with_pattern_mining(
+            config, gateway, make_catalog(corpus.names)
+        )
+        assert [(c.phrase, c.score) for c in report.iterations[0].candidates] == candidates
+        assert [[p.phrase for p in it.admitted] for it in report.iterations] == admitted
+        assert report.stopped_reason == FIXED_POINT
+        truth = {(a, b) for a, b, _w in corpus.truth_graph().edges()}
+        found = {(a, b) for a, b, _w in graph.edges()}
+        assert (len(found & truth), len(truth)) == (hit, 174)  # recall 0.489, then 1.0
+        assert report.requests_used == requests
+
 
 def no_memo_search(self, query):
     """Oracle for the run's answer memo, patched over Run.search: sends

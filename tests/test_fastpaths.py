@@ -1,26 +1,28 @@
 """Fast paths proved equal to the specs in `tests/oracles.py`.
 
-The specs compare casefolded text. ReplayBackend's inverted index and folded
-check are checked against `linear_fetch`, a plain scan of
-`phrase_regex(fold_text(p))` over `fold_text(text)`, and find_entity_matches
-against `alternation_matches`, the catalog's one-alternation matcher searched
-in `text.casefold()`, its spans mapped back through the folded length of each
-prefix. The generated texts, names and queries are built from pieces chosen
-to reach the hard cases: inner punctuation, `_` and digits next to a name,
-letters whose casefold is longer ("ß", "ﬁ") or differs from IGNORECASE ("İ",
-"ı", "ſ", the Kelvin sign), "\u0345", which casefold turns into a letter,
+The specs compare casefolded text. `catalog.text_runs`, the one reader of
+runs for replay's index and phrases, is checked against `alnum_runs`.
+ReplayBackend's inverted index and folded check are checked against
+`linear_fetch`, a plain scan of `phrase_regex(fold_text(p))` over
+`fold_text(text)`, and find_entity_matches against `alternation_matches`,
+the catalog's one-alternation matcher searched in `text.casefold()`, its
+spans mapped back through the folded length of each prefix. The generated
+texts, names and queries are built from pieces chosen to reach the hard
+cases: inner punctuation, `_` and digits next to a name, letters whose
+casefold is longer ("ß", "ﬁ") or differs from IGNORECASE ("İ", "ı", "ſ",
+the Kelvin sign), "\u0345", which casefold turns into a letter,
 overlapping and self-overlapping names, and mixed whitespace runs. Both
-fast paths read the alnum runs of ASCII folded text with the ASCII run
-class, checked against the Unicode one on every ASCII code point. Where a
-folded text's whitespace words are all letters and digits, both take the
-words as its runs without a regex (spotting only where one whitespace
-character parts each word from the next), on the premise, checked on
-every code point, that the run class is `str.isalnum`, `\\s` is
-`str.isspace`, and no character is both. `clean_texts` draws such texts,
-with " ", tab and "\x1c" between the words, which the mixed generator
-rarely does. Replay folds each text and phrase once, on the premise,
-checked on every code point, that folding a folded text changes nothing.
-The corpus generator's `pa_edge_list` is checked against
+`text_runs` and spotting read ASCII folded text with the ASCII run class,
+checked against the Unicode one on every ASCII code point, and take a
+whitespace word of letters and digits as one run without a regex
+(spotting only where one whitespace character parts each word from the
+next), on the premise, checked on every code point, that the run class
+matches exactly the characters that `catalog._one_run` accepts, `\\s`
+exactly the `str.isspace` ones, and no character is both. `clean_texts`
+draws texts of such words, with " ", tab and "\x1c" between them, which
+the mixed generator rarely does. Replay folds each text and phrase once,
+on the premise, checked on every code point, that folding a folded text
+changes nothing. The corpus generator's `pa_edge_list` is checked against
 `weighted_pa_edge_list`, which hands random.choices the weights on every
 draw.
 """
@@ -34,13 +36,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from snipgraph.catalog import (
-    ALNUM_RUN,
-    ASCII_RUN,
+    _ASCII_RUN,
+    _RUN,
+    _one_run,
     find_entity_matches,
     fold_text,
     folded_phrase_test,
-    run_pattern,
-    words_are_runs,
+    text_runs,
 )
 from snipgraph.corpus import pa_edge_list
 from snipgraph.search import (
@@ -52,7 +54,13 @@ from snipgraph.search import (
 )
 
 from conftest import make_catalog
-from oracles import alternation_matches, linear_fetch, phrase_regex, weighted_pa_edge_list
+from oracles import (
+    alnum_runs,
+    alternation_matches,
+    linear_fetch,
+    phrase_regex,
+    weighted_pa_edge_list,
+)
 
 NAME_PIECES = (
     "Bo", "bo", "Ada", "Veil", "Quist", "Jean-Luc", "O'Brien", "o", "Brien",
@@ -155,20 +163,30 @@ class TestEntitySpotting:
             assert find_entity_matches(text, catalog) == alternation_matches(text, catalog)
 
 
-class TestAsciiRuns:
+class TestTextRuns:
     @SETTINGS
-    @given(text=st.text(alphabet=st.characters(max_codepoint=127)))
+    @given(text=st.one_of(texts, clean_texts, st.text()))
     # ASCII only once folded: the Kelvin sign, long s and sharp s
     @example(text="\u212aai Quist")
     @example(text="\u017fam")
     @example(text="STRAUß")
-    def test_chosen_class_reads_the_runs_of_folded_text(self, text):
-        folded = text.casefold()
-        assert run_pattern(folded).split(folded) == ALNUM_RUN.split(folded)
+    # `_` parts runs; punctuation inside and after words; "\u0345" is no
+    # letter until folded to "ι"; "İ" folds to "i" and a combining dot,
+    # which parts runs; whitespace other than a space
+    @example(text="x_y")
+    @example(text="Jean-Luc O'Brien,")
+    @example(text="\u0345x")
+    @example(text="\u0130ris Bo")
+    @example(text="Strauß\tBo\x1c7")
+    def test_equals_the_runs_of_folded_text(self, text):
+        for low in (text.casefold(), fold_text(text)):
+            assert text_runs(low.split()) == alnum_runs(low)
 
+
+class TestAsciiRuns:
     def test_classes_agree_on_every_ascii_code_point(self):
         text = "".join(map(chr, range(128)))
-        assert ASCII_RUN.split(text) == ALNUM_RUN.split(text)
+        assert _ASCII_RUN.split(text) == _RUN.split(text)
 
 
 def quoted_terms():
@@ -247,24 +265,13 @@ class TestFoldedPhrase:
             assert fold_text(folded) == folded, ascii(folded)
 
     def test_run_and_whitespace_classes_are_isalnum_and_isspace(self):
-        # the premise of words_are_runs, on every code point
+        # the premise of catalog._one_run, on every code point
         chars = "".join(map(chr, range(sys.maxunicode + 1)))
-        alnum = "".join(ALNUM_RUN.findall(chars))
-        assert alnum == "".join(filter(str.isalnum, chars))
+        alnum = "".join(_RUN.findall(chars))
+        assert alnum == "".join(filter(_one_run, chars))
         space = "".join(re.findall(r"\s", chars))
         assert space == "".join(filter(str.isspace, chars))
         assert not set(alnum) & set(space)
-
-    @SETTINGS
-    @given(text=st.one_of(texts, clean_texts))
-    @example(text="Strauß\tBo\x1c7")
-    @example(text="\u0345x Bo")
-    @example(text="\u0130ris Bo")
-    def test_words_that_pass_the_check_are_the_runs(self, text):
-        folded = fold_text(text)
-        words = folded.split()
-        if words_are_runs(words):
-            assert words == ALNUM_RUN.findall(folded)
 
 
 class TestReplayCompiles:
