@@ -39,6 +39,7 @@ from snipgraph.catalog import (
     _ASCII_RUN,
     _RUN,
     _one_run,
+    _run_pattern,
     find_entity_matches,
     fold_text,
     folded_phrase_test,
@@ -184,6 +185,16 @@ class TestTextRuns:
 
 
 class TestAsciiRuns:
+    @SETTINGS
+    @given(text=st.text(alphabet=st.characters(max_codepoint=127)))
+    # ASCII only once folded: the Kelvin sign, long s and sharp s
+    @example(text="\u212aai Quist")
+    @example(text="\u017fam")
+    @example(text="STRAUß")
+    def test_chosen_class_reads_the_runs_of_folded_text(self, text):
+        folded = text.casefold()
+        assert _run_pattern(folded).split(folded) == _RUN.split(folded)
+
     def test_classes_agree_on_every_ascii_code_point(self):
         text = "".join(map(chr, range(128)))
         assert _ASCII_RUN.split(text) == _RUN.split(text)
@@ -272,6 +283,18 @@ class TestFoldedPhrase:
         space = "".join(re.findall(r"\s", chars))
         assert space == "".join(filter(str.isspace, chars))
         assert not set(alnum) & set(space)
+
+    @SETTINGS
+    @given(text=st.one_of(texts, clean_texts))
+    @example(text="Strauß\tBo\x1c7")
+    @example(text="\u0345x Bo")
+    @example(text="\u0130ris Bo")
+    def test_words_that_pass_the_check_are_the_runs(self, text):
+        # the check of text_runs' fast path: words all letters and digits
+        folded = fold_text(text)
+        words = folded.split()
+        if _one_run("".join(words)):
+            assert words == _RUN.findall(folded)
 
 
 class TestReplayCompiles:
