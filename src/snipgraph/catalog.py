@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import IO, Callable, Iterable
 
+from .graph import check_name
+
 
 class CatalogLoadError(ValueError):
     """Catalog input could not be decoded or read."""
@@ -187,12 +189,16 @@ class EntityCatalog:
 def load_catalog(source: IO[str] | Iterable[str]) -> EntityCatalog:
     """Load one name per line; blanks and normalized duplicates are skipped.
 
-    Undecodable input raises CatalogLoadError naming the byte offset.
+    Undecodable input raises CatalogLoadError naming the byte offset, and a
+    name that `graph.check_name` refuses one naming the line.
     """
     catalog = EntityCatalog()
     try:
-        for line in source:
-            catalog.add(line)
+        for lineno, line in enumerate(source, start=1):
+            try:
+                catalog.add(check_name(line.strip()))
+            except ValueError as exc:
+                raise CatalogLoadError(f"line {lineno}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CatalogLoadError(
             f"invalid UTF-8 in catalog input at byte {exc.start}"

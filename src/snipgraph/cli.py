@@ -43,9 +43,9 @@ from .extract import (
     DEFAULT_MATCH_PATTERNS,
     DEFAULT_QUERY_PATTERNS,
     Pattern,
-    _unescape_pattern,
     load_patterns_file,
     save_patterns_file,
+    unescape_pattern,
 )
 from .graph import SocialGraph, read_edge_list_file, write_edge_list
 from .search import (
@@ -362,7 +362,7 @@ def _parse_pattern_args(values: list[str]) -> dict[str, float]:
             phrase, weight = match.group(1), float(match.group(2))
         else:
             phrase, weight = value, 1.0
-        phrase = _unescape_pattern(phrase)
+        phrase = unescape_pattern(phrase)
         if not phrase:
             raise ConfigError(f"empty pattern in {value!r}")
         if not 0 < weight < math.inf:

@@ -8,6 +8,7 @@ or without surrounding spaces. Comparison is case-sensitive.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -72,36 +73,16 @@ def dedupe_patterns(patterns: Iterable[Pattern]) -> list[Pattern]:
     return out
 
 
-def _unescape_pattern(raw: str) -> str:
-    if "\\" not in raw:
-        return raw
-    out: list[str] = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        nxt = raw[i + 1] if i + 1 < len(raw) else ""
-        if nxt == "s":
-            out.append(SPACE_PATTERN)
-            i += 2
-        elif nxt == "\\":
-            out.append("\\")
-            i += 2
-        else:
-            out.append("\\")
-            i += 1
-    return "".join(out)
+def unescape_pattern(raw: str) -> str:
+    """A pattern phrase from its form in a pattern file or a `--pattern`:
+    `\\s` is a space and `\\\\` a backslash; any other backslash is literal."""
+    return re.sub(r"\\([\\s])", lambda m: SPACE_PATTERN if m[1] == "s" else "\\", raw)
 
 
 def _escape_pattern(phrase: str) -> str:
     body = phrase.replace("\\", "\\\\")
-    lead = len(body) - len(body.lstrip(" "))
-    trail = 0 if lead == len(body) else len(body) - len(body.rstrip(" "))
-    core = body[lead : len(body) - trail] if trail else body[lead:]
-    return SPACE_ESCAPE * lead + core + SPACE_ESCAPE * trail
+    # \Z, as $ also matches before a final newline
+    return re.sub(r"\A +| +\Z", lambda m: SPACE_ESCAPE * len(m[0]), body)
 
 
 def load_patterns(source: IO[str] | Iterable[str]) -> list[Pattern]:
@@ -116,7 +97,7 @@ def load_patterns(source: IO[str] | Iterable[str]) -> list[Pattern]:
         raw = line.rstrip("\r\n")
         if not raw.strip() or raw.lstrip().startswith("#"):
             continue
-        patterns.append(Pattern(_unescape_pattern(raw)))
+        patterns.append(Pattern(unescape_pattern(raw)))
     return dedupe_patterns(patterns)
 
 

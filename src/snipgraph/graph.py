@@ -96,7 +96,8 @@ class SocialGraph:
         return ranked if h is None else ranked[:h]
 
 
-def _check_name(name: str) -> str:
+def check_name(name: str) -> str:
+    """`name`, unless it holds a tab or newline, which no edge list can hold."""
     if "\t" in name or "\n" in name or "\r" in name:
         raise ValueError(f"entity name contains tab or newline: {name!r}")
     return name
@@ -105,7 +106,7 @@ def _check_name(name: str) -> str:
 def write_edge_list(graph: SocialGraph, fh: IO[str]) -> None:
     """Tab-separated `a<TAB>b<TAB>weight` lines, sorted by name pair."""
     for a, b, w in sorted(graph.edges()):
-        fh.write(f"{_check_name(a)}\t{_check_name(b)}\t{w}\n")
+        fh.write(f"{check_name(a)}\t{check_name(b)}\t{w}\n")
 
 
 def read_edge_list(source: IO[str] | Iterable[str]) -> SocialGraph:

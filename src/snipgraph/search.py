@@ -11,10 +11,12 @@ accounting on top of either.
 from __future__ import annotations
 
 import hashlib
+import ipaddress
 import math
 import os
 import re
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import IO, Any, Callable, Iterable, Protocol
 from urllib.parse import urlparse
@@ -135,9 +137,9 @@ _MULTI_PART_SUFFIXES = frozenset(
 
 
 def registrable_domain(url: str) -> str:
-    """Registrable domain of a URL: the last two hostname labels, or three
-    when the last two form a known multi-part suffix like co.uk. A URL that
-    does not parse, like "http://[::1", has no domain: ""."""
+    """Registrable domain of a URL: an IP address whole, else the last two
+    hostname labels, or three when they form a known multi-part suffix like
+    co.uk. A URL that does not parse, like "http://[::1", has no domain: ""."""
     try:
         host = urlparse(url).hostname
         if host is None:
@@ -145,6 +147,9 @@ def registrable_domain(url: str) -> str:
     except ValueError:
         return ""
     host = host.lower().rstrip(".")
+    with suppress(ValueError):
+        ipaddress.ip_address(host)
+        return host
     labels = host.split(".")
     if len(labels) <= 2:
         return host
@@ -156,7 +161,7 @@ def registrable_domain(url: str) -> str:
 # --- corpus serialization -------------------------------------------------
 
 _ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
-_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+_UNESCAPES = {escaped[1]: plain for plain, escaped in _ESCAPES.items()}
 
 
 def escape_field(value: str) -> str:
@@ -165,31 +170,22 @@ def escape_field(value: str) -> str:
     return value
 
 
+def _unescape(match: re.Match[str]) -> str:
+    plain = _UNESCAPES.get(match[1])
+    if plain is None:  # an unknown escape, or a backslash that ends the value
+        raise ValueError(f"bad escape sequence at position {match.start()}")
+    return plain
+
+
 def unescape_field(value: str) -> str:
-    if "\\" not in value:
-        return value
-    out: list[str] = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= len(value) or value[i + 1] not in _UNESCAPES:
-            raise ValueError(f"bad escape sequence at position {i}")
-        out.append(_UNESCAPES[value[i + 1]])
-        i += 2
-    return "".join(out)
+    return re.sub(r"\\(.?)", _unescape, value, flags=re.DOTALL)
 
 
 def load_corpus(source: IO[str] | Iterable[str]) -> list[CorpusRecord]:
     """Parse tab-separated url/domain/text records; blank lines are skipped."""
     records: list[CorpusRecord] = []
     for lineno, line in enumerate(source, start=1):
-        raw = line.rstrip("\n")
-        if raw.endswith("\r"):
-            raw = raw[:-1]
+        raw = line.rstrip("\n").removesuffix("\r")
         if not raw:
             continue
         fields = raw.split("\t")
@@ -319,24 +315,14 @@ class SnippetCache:
     def get(self, query: Query, k: int) -> list[CorpusRecord] | None:
         """The stored snippets for `query`, or None unless the entry is
         intact and was fetched at depth k or deeper."""
-        path = self._path(query.cache_key)
-        if not os.path.exists(path):
-            return None
+        # newline="\n": lines end at "\n" alone, and a "\r" stays in its line
         try:
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                lines = fh.read().split("\n")
-        except UnicodeDecodeError:
-            return None
-        if lines[-1] == "":
-            lines.pop()
-        if not lines:
-            return None
-        depth = lines[0].partition("\t")[2]
-        if not depth.isdecimal() or int(depth) < k:
-            return None
-        try:
-            return load_corpus(lines[1:])
-        except CorpusFormatError:
+            with open(self._path(query.cache_key), encoding="utf-8", newline="\n") as fh:
+                depth = fh.readline().rstrip("\n").partition("\t")[2]
+                if not depth.isdecimal() or int(depth) < k:
+                    return None
+                return load_corpus(fh)
+        except (FileNotFoundError, UnicodeDecodeError, CorpusFormatError):
             return None
 
     def put(self, query: Query, snippets: Iterable[CorpusRecord], k: int) -> None:
@@ -548,16 +534,17 @@ class SearchGateway:
 
     search() fetches PAGE_SIZE results per request until k results are
     collected or a short page signals the end, and returns the snippets
-    together with the number of pages that returned results. Duplicate (url,
-    text) results are dropped. A failed page is retried with doubling
-    backoff, except a FatalTransportError, which is raised at once. The
-    `ledger` (uncapped at first; each `engine.Run` installs its own) is
-    charged one request per backend call, failed attempts
-    included, also when the search ends in a TransportError; cache hits are
-    free. The gateway never refuses a search: callers check the ledger
-    between searches, so a search may overshoot the cap. Every search it is
-    asked for is run; pooling several queries and answering a repeated one
-    for no request are the run's (`engine.Run.search_pooled`, `Run.search`).
+    together with the number of backend calls that succeeded, an empty last
+    page among them (0 for a cache hit). Duplicate (url, text) results are
+    dropped. A failed page is retried with doubling backoff, except a
+    FatalTransportError, which is raised at once. The `ledger` (uncapped at
+    first; each `engine.Run` installs its own) is charged one request per
+    backend call, failed attempts included, also when the search ends in a
+    TransportError; cache hits are free. The gateway never refuses a
+    search: callers check the ledger between searches, so a search may
+    overshoot the cap. Every search it is asked for is run; pooling several
+    queries and answering a repeated one for no request are the run's
+    (`engine.Run.search_pooled`, `Run.search`).
     """
 
     def __init__(
@@ -572,8 +559,8 @@ class SearchGateway:
         self._sleep = sleep
 
     def search(self, query: Query, k: int) -> tuple[list[CorpusRecord], int]:
-        """Up to k snippets for `query`, in rank order, plus the pages
-        fetched; see class docstring."""
+        """Up to k snippets for `query`, in rank order, plus the backend
+        calls that succeeded; see class docstring."""
         if k < 1:
             raise ValueError("k must be >= 1")
         validate_query_text(query.raw)

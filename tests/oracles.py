@@ -8,6 +8,12 @@ implements faster: `alnum_runs` of `catalog.text_runs`, `phrase_regex` and
 casefolded text. `tests/test_fastpaths.py` checks each fast path against
 them.
 
+The file-format routines as they were written before each became one
+regex: `unescape_field` of `search.unescape_field`, `_unescape_pattern` and
+`_escape_pattern` of `extract.unescape_pattern` and `extract._escape_pattern`,
+and `snippet_cache_get` of `search.SnippetCache.get`, which read the whole
+file and split it on "\n".
+
 `stepwise_baseline_pairwise` is the pairwise baseline as it was before its
 steps went through `Run.grow`: it adds each accepted edge to the graph as
 soon as its pair query scores. `tests/test_analysis.py` checks that
@@ -17,6 +23,7 @@ soon as its pair query scores. `tests/test_analysis.py` checks that
 from __future__ import annotations
 
 import math
+import os
 import random
 import re
 from itertools import accumulate
@@ -30,9 +37,13 @@ from snipgraph.catalog import (
     fold_text,
 )
 from snipgraph.engine import BUDGET, Run
+from snipgraph.extract import SPACE_ESCAPE, SPACE_PATTERN
 from snipgraph.search import (
+    CorpusFormatError,
+    CorpusRecord,
     entity_query,
     is_queryable_phrase,
+    load_corpus,
     pair_query,
     parse_query_terms,
 )
@@ -206,3 +217,79 @@ def stepwise_baseline_pairwise(
                 return BUDGET
 
     return run.graph, run.finish(walk)
+
+
+_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+
+
+def unescape_field(value: str) -> str:
+    if "\\" not in value:
+        return value
+    out: list[str] = []
+    i = 0
+    while i < len(value):
+        ch = value[i]
+        if ch != "\\":
+            out.append(ch)
+            i += 1
+            continue
+        if i + 1 >= len(value) or value[i + 1] not in _UNESCAPES:
+            raise ValueError(f"bad escape sequence at position {i}")
+        out.append(_UNESCAPES[value[i + 1]])
+        i += 2
+    return "".join(out)
+
+
+def _unescape_pattern(raw: str) -> str:
+    if "\\" not in raw:
+        return raw
+    out: list[str] = []
+    i = 0
+    while i < len(raw):
+        ch = raw[i]
+        if ch != "\\":
+            out.append(ch)
+            i += 1
+            continue
+        nxt = raw[i + 1] if i + 1 < len(raw) else ""
+        if nxt == "s":
+            out.append(SPACE_PATTERN)
+            i += 2
+        elif nxt == "\\":
+            out.append("\\")
+            i += 2
+        else:
+            out.append("\\")
+            i += 1
+    return "".join(out)
+
+
+def _escape_pattern(phrase: str) -> str:
+    body = phrase.replace("\\", "\\\\")
+    lead = len(body) - len(body.lstrip(" "))
+    trail = 0 if lead == len(body) else len(body) - len(body.rstrip(" "))
+    core = body[lead : len(body) - trail] if trail else body[lead:]
+    return SPACE_ESCAPE * lead + core + SPACE_ESCAPE * trail
+
+
+def snippet_cache_get(self, query, k: int) -> list[CorpusRecord] | None:
+    """`SnippetCache.get` with `self` the cache."""
+    path = self._path(query.cache_key)
+    if not os.path.exists(path):
+        return None
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:
+        return None
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        return None
+    depth = lines[0].partition("\t")[2]
+    if not depth.isdecimal() or int(depth) < k:
+        return None
+    try:
+        return load_corpus(lines[1:])
+    except CorpusFormatError:
+        return None

@@ -1,6 +1,7 @@
 """End-to-end CLI runs, config resolution, and error-path exit codes."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -457,6 +458,14 @@ class TestErrorPaths:
         assert main(base_args(workspace)) == 1
         assert "catalog is empty:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["extract", "mine-patterns", "baseline"])
+    def test_catalog_name_with_tab_sends_no_request(self, workspace, capsys, command):
+        # no edge list can hold the name, so the run must stop before it spends
+        write_lines(workspace / "names.txt", [B, "Ada\tVeil", C])
+        assert main(base_args(workspace, command)) == 1
+        assert "line 2: entity name contains tab or newline: 'Ada\\tVeil'" in capsys.readouterr().err
+        assert not (workspace / "out").exists()
+
     def test_empty_seeds_file(self, workspace, capsys):
         write_lines(workspace / "seeds.txt", [])
         assert main(base_args(workspace)) == 1
@@ -494,6 +503,35 @@ class TestErrorPaths:
         config.write_text("backend = tape\n", encoding="utf-8")
         assert main(base_args(workspace) + ["--config", str(config)]) == 1
         assert "backend must be replay or live, not 'tape'" in capsys.readouterr().err
+
+
+class TestReadmeQuickStart:
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
+    def quick_start(self):
+        """The Quick start block of README.md as (command, output lines) pairs."""
+        text = self.README.read_text(encoding="utf-8")
+        block = text.split("## Quick start", 1)[1].split("```\n", 2)[1]
+        steps = []
+        for line in block.replace("\\\n", "").splitlines():
+            if line.startswith("$ "):
+                steps.append((shlex.split(line[2:]), []))
+            elif line:
+                steps[-1][1].append(line)
+        return steps
+
+    def test_commands_print_what_the_readme_shows(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        steps = self.quick_start()
+        assert [argv[0] for argv, _ in steps] == ["snipgraph", "head", "snipgraph", "snipgraph"]
+        for argv, expected in steps:
+            if argv[0] == "head":
+                assert argv[1:] == ["-1", "demo.names.txt", ">", "seeds.txt"]
+                first = Path("demo.names.txt").read_text(encoding="utf-8").splitlines()[0]
+                write_lines(tmp_path / "seeds.txt", [first])
+                continue
+            assert main(argv[1:]) == 0
+            assert capsys.readouterr().out.splitlines() == expected
 
 
 class TestLiveGuards:

@@ -24,13 +24,18 @@ the mixed generator rarely does. Replay folds each text and phrase once,
 on the premise, checked on every code point, that folding a folded text
 changes nothing. The corpus generator's `pa_edge_list` is checked against
 `weighted_pa_edge_list`, which hands random.choices the weights on every
-draw.
+draw. The one-regex decoders of the corpus and pattern formats, and the
+snippet cache's one-stream read, are checked against the hand-written
+routines they replaced: equal results, and equal ValueError messages, over
+text weighted toward backslashes, escape letters, spaces and line ends, and
+over arbitrary cache file bytes.
 """
 
 import os
 import random
 import re
 import sys
+import tempfile
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -46,20 +51,27 @@ from snipgraph.catalog import (
     text_runs,
 )
 from snipgraph.corpus import pa_edge_list
+from snipgraph.extract import _escape_pattern, unescape_pattern
 from snipgraph.search import (
     CorpusRecord,
     ReplayBackend,
+    SnippetCache,
     connectivity_query,
     entity_query,
     pair_query,
+    unescape_field,
 )
 
 from conftest import make_catalog
 from oracles import (
+    _escape_pattern as old_escape_pattern,
+    _unescape_pattern as old_unescape_pattern,
     alnum_runs,
     alternation_matches,
     linear_fetch,
     phrase_regex,
+    snippet_cache_get as old_cache_get,
+    unescape_field as old_unescape_field,
     weighted_pa_edge_list,
 )
 
@@ -342,3 +354,94 @@ class TestPaEdgeList:
         assert edges == weighted_pa_edge_list(n_nodes, attach, reference, exponent)
         # the caller draws on from the same generator
         assert rng.getstate() == reference.getstate()
+
+
+# text weighted toward what the escape languages act on: backslashes, the
+# escape letters, spaces and line ends
+escape_texts = st.one_of(
+    st.text(),
+    st.text(st.sampled_from("\\\\\\stnr  \t\n\r\u00e9x")),
+)
+
+
+def outcome(decode, value):
+    """What `decode` returns for `value`, or the message of its ValueError."""
+    try:
+        return decode(value)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+class TestFormatDecoders:
+    @SETTINGS
+    @given(value=escape_texts)
+    @example(value="a\\tb\\\\c\\n\\r")
+    @example(value="trailing\\")
+    @example(value="a\\x")
+    @example(value="\\\\\\")
+    @example(value="\\\n")
+    def test_unescape_field_equals_the_character_loop(self, value):
+        assert outcome(unescape_field, value) == outcome(old_unescape_field, value)
+
+    @SETTINGS
+    @given(raw=escape_texts)
+    @example(raw="\\s")
+    @example(raw="\\\\\\s")
+    @example(raw="a\\tb\\")
+    @example(raw="\\\\s")
+    def test_unescape_pattern_equals_the_character_loop(self, raw):
+        assert unescape_pattern(raw) == old_unescape_pattern(raw)
+
+    @SETTINGS
+    @given(phrase=escape_texts)
+    @example(phrase=" ")
+    @example(phrase="   ")
+    @example(phrase="  a b  ")
+    # `$` would also match before the final newline
+    @example(phrase="\\ \n")
+    @example(phrase="a \n")
+    def test_escape_pattern_equals_the_strip_arithmetic(self, phrase):
+        escaped = _escape_pattern(phrase)
+        assert escaped == old_escape_pattern(phrase)
+        assert unescape_pattern(escaped) == phrase
+
+
+CACHE_PIECES = (
+    b"q", b"\t", b"\n", b"\r", b"\r\n", b"5", b"0", b"12", b"\\", b"\\t", b"\\x",
+    b"u\td\tt", b"u\td\tt", b"\xff", b"\xc3\xa9", b"\t3", b" ",
+)
+cache_lines = st.lists(st.sampled_from(CACHE_PIECES), max_size=5).map(b"".join)
+cache_files = st.one_of(
+    st.none(),  # no file
+    st.binary(max_size=40),
+    # a header, often a sound one, and lines made mostly of record pieces
+    st.tuples(
+        st.one_of(st.sampled_from((b"q\t9", b"q\t12\n")), cache_lines),
+        st.lists(cache_lines, max_size=4).map(b"\n".join),
+    ).map(lambda parts: b"\n".join(parts)),
+)
+
+
+class TestSnippetCacheRead:
+    @SETTINGS
+    @given(data=cache_files, k=st.integers(-2, 20))
+    @example(data=None, k=1)
+    @example(data=b"", k=1)
+    @example(data=b"q\n", k=0)  # a header with no tab
+    @example(data=b"q\t5\ru\td\tt\n", k=1)  # a bare "\r" in the header
+    @example(data=b"q\t5\r", k=1)
+    @example(data=b"q\t5\r\nu\td\tt\n", k=1)
+    @example(data=b"q\t5\nu\td\tt\rx\n", k=1)  # a bare "\r" in the body
+    @example(data=b"q\t5\nu\td\tt\r\n\n", k=5)
+    @example(data=b"q\t2\nu\td\tt\n", k=5)  # a shallower depth
+    @example(data=b"q\t5\nu\td\tt\\x\n", k=1)  # a bad escape
+    @example(data=b"q\t5\nu\td\t\xff\n", k=1)  # invalid UTF-8
+    @example(data=b"q\t5\nu\td\tt\\tx\r\n\nv\td\tt", k=5)  # a hit
+    def test_get_equals_reading_the_whole_file(self, data, k):
+        query = pair_query("Ada Veil", "Bo Quist")
+        with tempfile.TemporaryDirectory() as directory:
+            cache = SnippetCache(directory)
+            if data is not None:
+                with open(cache._path(query.cache_key), "wb") as fh:
+                    fh.write(data)
+            assert cache.get(query, k) == old_cache_get(cache, query, k)

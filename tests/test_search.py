@@ -301,6 +301,12 @@ class TestRegistrableDomain:
             ("example.com/path", "example.com"),
             ("localhost", "localhost"),
             ("http://[::1", ""),
+            # an IP address is its own registrant
+            ("http://10.0.0.1/a", "10.0.0.1"),
+            ("http://192.168.0.1/b", "192.168.0.1"),
+            ("https://8.8.8.8:443/x", "8.8.8.8"),
+            ("http://[::ffff:10.0.0.1]/", "::ffff:10.0.0.1"),
+            ("http://[2001:DB8::1]/", "2001:db8::1"),
         ],
     )
     def test_cases(self, url, expected):
