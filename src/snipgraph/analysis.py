@@ -161,8 +161,6 @@ def mutual_information(
         (t, c): table.count(t, c) + smoothing for t in terms for c in categories
     }
     total = sum(cells.values())
-    if total <= 0:
-        raise ValueError("table totals must be positive")
     term_mass = {t: sum(cells[t, c] for c in categories) for t in terms}
     cat_mass = {c: sum(cells[t, c] for t in terms) for c in categories}
     ranked: list[tuple[str, str, float]] = []

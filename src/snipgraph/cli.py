@@ -54,7 +54,6 @@ from .search import (
     ReplayBackend,
     SearchGateway,
     SnippetCache,
-    TransportError,
     load_corpus_file,
     save_corpus_file,
     write_query_log,
@@ -509,9 +508,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except TransportError as exc:
-        print(f"error: search transport failed: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -187,29 +187,13 @@ def write_trace_csv(report: RunReport, fh: IO[str]) -> None:
         )
 
 
-def canonical_seeds(seeds: Iterable[str], catalog: EntityCatalog) -> list[str]:
-    """Catalog names of `seeds` in order, each kept at its first occurrence.
-
-    Raises ValueError for a seed the catalog does not know.
-    """
-    resolved: list[str] = []
-    seen: set[str] = set()
-    for raw in seeds:
-        canonical = catalog.canonical(raw)
-        if canonical is None:
-            raise ValueError(f"seed entity not in catalog: {raw!r}")
-        if canonical not in seen:
-            seen.add(canonical)
-            resolved.append(canonical)
-    return resolved
-
-
 class Run:
     """What every graph-growing run shares: a fresh request ledger installed
     in the gateway, the answer memo of every query searched at depth k, a
     graph seeded with the canonical seeds, the spotting memo, and one
     StepRecord per expanded entity, which `grow` merges into the graph whole:
-    a transport failure drops the interrupted step."""
+    a transport failure drops the interrupted step. `finish` builds the
+    run's one report."""
 
     def __init__(
         self,
@@ -227,12 +211,19 @@ class Run:
         self.ledger = BudgetLedger(max_requests)
         gateway.ledger = self.ledger
         self.graph = SocialGraph()
-        self.seeds = canonical_seeds(seeds, catalog)
-        for seed in self.seeds:
-            self.graph.add_node(seed)
+        for raw in seeds:
+            canonical = catalog.canonical(raw)
+            if canonical is None:
+                raise ValueError(f"seed entity not in catalog: {raw!r}")
+            self.graph.add_node(canonical)
+        # the graph keeps each node once, in first-added order
+        self.seeds = list(self.graph.nodes())
         # find_entity_matches results by text; the catalog is fixed for a run
         self.spotted: dict[str, list[tuple[str, int, int]]] = {}
         self.steps: list[StepRecord] = []
+        # filled by pattern-mining runs; a baseline run has neither
+        self.iterations: list[IterationRecord] = []
+        self.match_patterns: list[Pattern] = []
 
     def search(self, query: Query) -> list[CorpusRecord]:
         """Up to k snippets for `query`. A query this run already searched
@@ -290,17 +281,16 @@ class Run:
             stopped = drive() or FRONTIER_EMPTY
         except TransportError:
             stopped = TRANSPORT
-        return self.report(stopped)
-
-    def report(self, stopped_reason: str) -> RunReport:
         return RunReport(
             seeds=list(self.seeds),
             steps=self.steps,
+            iterations=self.iterations,
+            patterns=list(self.match_patterns),
             nodes_found=self.graph.node_count,
             edges_found=self.graph.edge_count,
             requests_used=self.ledger.used_requests,
             queries_issued=self.ledger.queries_issued,
-            stopped_reason=stopped_reason,
+            stopped_reason=stopped,
         )
 
 
@@ -323,7 +313,6 @@ class _Run(Run):
             Pattern(p, "seed")
             for p in (*config.match_patterns, *config.query_patterns)
         )
-        self.iterations: list[IterationRecord] = []
         self.queried: set[tuple[str, str]] = set()
 
     def pending_patterns(self, entity: str) -> list[Pattern]:
@@ -368,12 +357,6 @@ class _Run(Run):
                 frontier.push(name, len(self.steps))
             if self.ledger.exhausted:
                 return BUDGET
-
-    def report(self, stopped_reason: str) -> RunReport:
-        report = super().report(stopped_reason)
-        report.iterations = self.iterations
-        report.patterns = list(self.match_patterns)
-        return report
 
 
 def expand_static(

@@ -322,7 +322,7 @@ class SnippetCache:
                 if not depth.isdecimal() or int(depth) < k:
                     return None
                 return load_corpus(fh)
-        except (FileNotFoundError, UnicodeDecodeError, CorpusFormatError):
+        except (FileNotFoundError, ValueError):  # bad UTF-8, bad record, huge depth
             return None
 
     def put(self, query: Query, snippets: Iterable[CorpusRecord], k: int) -> None:

@@ -194,6 +194,34 @@ class TestBaselineCommand:
         assert "mode: baseline\n" in summary
         assert "status: complete\n" in summary
 
+    @pytest.fixture
+    def corpus_args(self, tmp_path):
+        prefix = str(tmp_path / "c")
+        args = ["make-corpus", "--output-prefix", prefix, "--nodes", "30", "--rng-seed", "5"]
+        assert main(args) == 0
+        names = (tmp_path / "c.names.txt").read_text(encoding="utf-8").splitlines()
+        write_lines(tmp_path / "seeds.txt", names[:1])
+        return [
+            "baseline",
+            "--seeds", str(tmp_path / "seeds.txt"),
+            "--catalog", prefix + ".names.txt",
+            "--corpus", prefix + ".corpus.tsv",
+            "--output-prefix", str(tmp_path / "run"),
+        ]
+
+    @pytest.mark.parametrize(
+        "threshold, edges, nodes", [("0.1", 56, 30), ("0.9", 0, 1)]
+    )
+    def test_threshold_flag(self, corpus_args, capsys, threshold, edges, nodes):
+        assert main(corpus_args + ["--threshold", threshold]) == 0
+        assert f"({edges} edges, {nodes} nodes)" in capsys.readouterr().out
+
+    def test_threshold_config_key(self, corpus_args, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("threshold = 0.9\n", encoding="utf-8")
+        assert main(corpus_args + ["--config", str(config)]) == 0
+        assert "(0 edges, 1 nodes)" in capsys.readouterr().out
+
 
 class TestMakeCorpus:
     def test_generates_matching_files(self, tmp_path, capsys):
@@ -329,6 +357,16 @@ class TestAnalyzeCommand:
             '"entity_a","entity_b","weight"\n'
             f'"{B}","{C}","5"\n'
         )
+
+    def test_dist_report_of_empty_graph(self, tmp_path, capsys):
+        path = tmp_path / "empty.edges"
+        path.write_text("", encoding="utf-8")
+        assert main(["analyze", "--graph", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "degree: empty\n" in out and "weight: empty\n" in out
+        base = str(tmp_path / "empty")
+        assert Path(base + ".degree_hist.csv").read_text() == '"degree","count"\n'
+        assert Path(base + ".weight_hist.csv").read_text() == '"weight","count"\n'
 
     @pytest.mark.parametrize("report", ["dist", "top"])
     def test_rejects_self_loop(self, tmp_path, capsys, report):

@@ -10,7 +10,7 @@ import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from snipgraph import search
+from snipgraph import cli, search
 from snipgraph.engine import Run
 from snipgraph.search import (
     PAGE_SIZE,
@@ -681,6 +681,39 @@ class TestSnippetCache:
             fh.write(escape_field(query.raw) + "\n")
             save_corpus(matching_records(2), fh)
         assert cache.get(query, 1) is None
+
+    def test_depth_too_long_for_int_is_a_miss(self, tmp_path):
+        cache = SnippetCache(str(tmp_path / "cache"))
+        query = connectivity_query("Ada Veil", "and")
+        with open(cache._path(query.cache_key), "w", encoding="utf-8") as fh:
+            fh.write("q\t" + "9" * 5000 + "\n")
+        assert cache.get(query, 5) is None
+
+    def test_warm_rerun_refetches_an_entry_whose_depth_is_too_long(self, tmp_path):
+        prefix = str(tmp_path / "c")
+        assert cli.main(["make-corpus", "--output-prefix", prefix, "--nodes", "10"]) == 0
+        with open(prefix + ".names.txt", encoding="utf-8") as fh:
+            (tmp_path / "seeds.txt").write_text(fh.readline(), encoding="utf-8")
+        cache_dir = tmp_path / "cache"
+        args = [
+            "extract",
+            "--seeds", str(tmp_path / "seeds.txt"),
+            "--catalog", prefix + ".names.txt",
+            "--corpus", prefix + ".corpus.tsv",
+            "--output-prefix", str(tmp_path / "run"),
+            "--cache-dir", str(cache_dir),
+        ]
+        assert cli.main(args) == 0
+        cold_edges = (tmp_path / "run.edges").read_bytes()
+        entry = min(cache_dir.iterdir())
+        header, _, body = entry.read_text(encoding="utf-8").partition("\n")
+        raw = header.partition("\t")[0]
+        entry.write_text(f"{raw}\t{'9' * 5000}\n{body}", encoding="utf-8")
+        assert cli.main(args) == 0
+        assert (tmp_path / "run.edges").read_bytes() == cold_edges
+        rows = (tmp_path / "run.queries.tsv").read_text(encoding="utf-8").splitlines()
+        fetched = [row.split("\t")[0] for row in rows[1:] if row.split("\t")[4] == "0"]
+        assert fetched == [raw]
 
 
 def fake_page(items):
