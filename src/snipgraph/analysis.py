@@ -151,8 +151,8 @@ def mutual_information(
     in any category are excluded. The result lists categories in table
     order, each ranked by descending score with ties on the term.
     """
-    if smoothing < 0:
-        raise ValueError("smoothing must be >= 0")
+    if not 0 <= smoothing < math.inf:
+        raise ValueError("smoothing must be >= 0 and finite")
     terms = [t for t in table.terms if table.term_total(t) > 0]
     categories = list(table.categories)
     if not terms or not categories:

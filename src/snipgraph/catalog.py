@@ -207,7 +207,7 @@ def load_catalog(source: IO[str] | Iterable[str]) -> EntityCatalog:
 
 
 def load_catalog_file(path: str) -> EntityCatalog:
-    with open(path, "r", encoding="utf-8", newline=None) as fh:
+    with open(path, "r", encoding="utf-8-sig", newline=None) as fh:
         return load_catalog(fh)
 
 

@@ -99,7 +99,7 @@ def load_config_file(path: str) -> dict[str, str]:
     """Flat key=value lines; blank lines and `#` comments are skipped."""
     data: dict[str, str] = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "r", encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     with fh:
@@ -135,7 +135,7 @@ T = TypeVar("T")
 
 def _read_lines(path: str, what: str) -> list[str]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read {what}: {exc}") from exc

@@ -102,7 +102,7 @@ def load_patterns(source: IO[str] | Iterable[str]) -> list[Pattern]:
 
 
 def load_patterns_file(path: str) -> list[Pattern]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return load_patterns(fh)
 
 

@@ -132,7 +132,7 @@ def read_edge_list(source: IO[str] | Iterable[str]) -> SocialGraph:
 
 
 def read_edge_list_file(path: str) -> SocialGraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return read_edge_list(fh)
 
 

@@ -18,7 +18,7 @@ import re
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import IO, Any, Callable, Iterable, Protocol
+from typing import IO, Any, Callable, Iterable, NamedTuple, Protocol
 from urllib.parse import urlparse
 
 from .catalog import fold_text, folded_phrase_test, normalize_name, text_runs
@@ -113,10 +113,14 @@ def entity_query(entity: str) -> Query:
     return Query(_quoted(entity, "entity"), ENTITY)
 
 
-@dataclass(frozen=True)
-class CorpusRecord:
+class CorpusRecord(NamedTuple):
     """One search result, or one stored snippet: url, source domain, snippet
-    text. Lists of results are in rank order; the position is the rank."""
+    text. Lists of results are in rank order; the position is the rank.
+
+    A record is an immutable tuple of its three fields in that order: it is
+    built from them by position (`CorpusRecord(*fields)`), hashes and
+    compares field by field, and so also equals the plain 3-tuple of its
+    fields and orders like one."""
 
     url: str
     domain: str
@@ -184,26 +188,27 @@ def unescape_field(value: str) -> str:
 def load_corpus(source: IO[str] | Iterable[str]) -> list[CorpusRecord]:
     """Parse tab-separated url/domain/text records; blank lines are skipped."""
     records: list[CorpusRecord] = []
+    append = records.append
+    make = CorpusRecord._make
     for lineno, line in enumerate(source, start=1):
-        raw = line.rstrip("\n").removesuffix("\r")
-        if not raw:
-            continue
-        fields = raw.split("\t")
+        fields = line.rstrip("\n").removesuffix("\r").split("\t")
         if len(fields) != 3:
+            if fields == [""]:  # a blank line
+                continue
             raise CorpusFormatError(
                 f"line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
             )
-        if "\\" in raw:  # a line without one has nothing to unescape
+        if "\\" in line:  # a line without one has nothing to unescape
             try:
                 fields = [unescape_field(f) for f in fields]
             except ValueError as exc:
                 raise CorpusFormatError(f"line {lineno}: {exc}") from exc
-        records.append(CorpusRecord(*fields))
+        append(make(fields))
     return records
 
 
 def load_corpus_file(path: str) -> list[CorpusRecord]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return load_corpus(fh)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 from contextlib import contextmanager
 
@@ -43,7 +42,7 @@ def respell(corpus, odd=ODD_NAMES):
             text = text.replace(old, new)
         return text
 
-    records = [dataclasses.replace(r, text=sub(r.text)) for r in corpus.records]
+    records = [r._replace(text=sub(r.text)) for r in corpus.records]
     return records, [spelling.get(n, n) for n in corpus.names]
 
 

@@ -12,7 +12,9 @@ The file-format routines as they were written before each became one
 regex: `unescape_field` of `search.unescape_field`, `_unescape_pattern` and
 `_escape_pattern` of `extract.unescape_pattern` and `extract._escape_pattern`,
 and `snippet_cache_get` of `search.SnippetCache.get`, which read the whole
-file and split it on "\n".
+file and split it on "\n". `load_corpus` is `search.load_corpus` as it was
+before its loop split each line once: it strips the line's ending, skips a
+blank line, then splits the rest.
 
 `stepwise_baseline_pairwise` is the pairwise baseline as it was before its
 steps went through `Run.grow`: it adds each accepted edge to the graph as
@@ -43,7 +45,6 @@ from snipgraph.search import (
     CorpusRecord,
     entity_query,
     is_queryable_phrase,
-    load_corpus,
     pair_query,
     parse_query_terms,
 )
@@ -270,6 +271,26 @@ def _escape_pattern(phrase: str) -> str:
     trail = 0 if lead == len(body) else len(body) - len(body.rstrip(" "))
     core = body[lead : len(body) - trail] if trail else body[lead:]
     return SPACE_ESCAPE * lead + core + SPACE_ESCAPE * trail
+
+
+def load_corpus(source) -> list[CorpusRecord]:
+    records: list[CorpusRecord] = []
+    for lineno, line in enumerate(source, start=1):
+        raw = line.rstrip("\n").removesuffix("\r")
+        if not raw:
+            continue
+        fields = raw.split("\t")
+        if len(fields) != 3:
+            raise CorpusFormatError(
+                f"line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
+            )
+        if "\\" in raw:  # a line without one has nothing to unescape
+            try:
+                fields = [unescape_field(f) for f in fields]
+            except ValueError as exc:
+                raise CorpusFormatError(f"line {lineno}: {exc}") from exc
+        records.append(CorpusRecord(*fields))
+    return records
 
 
 def snippet_cache_get(self, query, k: int) -> list[CorpusRecord] | None:

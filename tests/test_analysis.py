@@ -239,6 +239,11 @@ class TestMutualInformation:
         with pytest.raises(ValueError, match="smoothing must be >= 0"):
             mutual_information(square_table(), smoothing=-0.5)
 
+    @pytest.mark.parametrize("smoothing", [math.nan, math.inf])
+    def test_non_finite_smoothing_rejected(self, smoothing):
+        with pytest.raises(ValueError, match="smoothing must be >= 0 and finite"):
+            mutual_information(square_table(), smoothing=smoothing)
+
     def test_empty_table(self):
         assert mutual_information(TermCategoryTable()) == []
 

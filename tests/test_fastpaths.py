@@ -24,11 +24,12 @@ the mixed generator rarely does. Replay folds each text and phrase once,
 on the premise, checked on every code point, that folding a folded text
 changes nothing. The corpus generator's `pa_edge_list` is checked against
 `weighted_pa_edge_list`, which hands random.choices the weights on every
-draw. The one-regex decoders of the corpus and pattern formats, and the
-snippet cache's one-stream read, are checked against the hand-written
-routines they replaced: equal results, and equal ValueError messages, over
-text weighted toward backslashes, escape letters, spaces and line ends, and
-over arbitrary cache file bytes.
+draw. The one-regex decoders of the corpus and pattern formats, the corpus
+loader's one-split loop and the snippet cache's one-stream read are checked
+against the routines they replaced: equal results, and equal ValueError
+messages, over text weighted toward backslashes, escape letters, spaces and
+line ends, over lists of corpus lines built from tabs, backslashes, line
+ends and escape letters, and over arbitrary cache file bytes.
 """
 
 import os
@@ -53,11 +54,14 @@ from snipgraph.catalog import (
 from snipgraph.corpus import pa_edge_list
 from snipgraph.extract import _escape_pattern, unescape_pattern
 from snipgraph.search import (
+    CorpusFormatError,
     CorpusRecord,
     ReplayBackend,
     SnippetCache,
     connectivity_query,
     entity_query,
+    load_corpus,
+    load_corpus_file,
     pair_query,
     unescape_field,
 )
@@ -69,6 +73,7 @@ from oracles import (
     alnum_runs,
     alternation_matches,
     linear_fetch,
+    load_corpus as old_load_corpus,
     phrase_regex,
     snippet_cache_get as old_cache_get,
     unescape_field as old_unescape_field,
@@ -445,3 +450,56 @@ class TestSnippetCacheRead:
                 with open(cache._path(query.cache_key), "wb") as fh:
                     fh.write(data)
             assert cache.get(query, k) == old_cache_get(cache, query, k)
+
+
+corpus_fields = st.text(st.sampled_from("\\tnrx\r") | st.characters(), max_size=3)
+corpus_lines = st.lists(
+    st.one_of(
+        st.text(st.sampled_from("\t\\\r\n" + "tnrx")),
+        st.text(),
+        # two to four fields, so often three, with a line ending or none
+        st.tuples(
+            st.lists(corpus_fields, min_size=2, max_size=4).map("\t".join),
+            st.sampled_from(("", "\n", "\r\n", "\r", "\r\r\n", "\n\n")),
+        ).map("".join),
+        st.sampled_from(("", "\n", "\r\n", "\r")),  # blank lines
+    ),
+    max_size=6,
+)
+
+
+def load_outcome(load, lines):
+    """The records `load` makes of `lines`, each with its type, or the
+    message of its CorpusFormatError."""
+    try:
+        return [(type(r), r) for r in load(lines)]
+    except CorpusFormatError as exc:
+        return str(exc)
+
+
+class TestCorpusLoader:
+    @SETTINGS
+    @given(lines=corpus_lines)
+    @example(lines=["", "\n", "\r\n", "\r", "u\td\tt\r\n"])
+    @example(lines=["u\td\tt", "u\td\n"])  # a wrong field count
+    @example(lines=[" ", "u\td\tt"])  # a line of blanks is not blank
+    @example(lines=["u\td\tt\\x\n"])  # a bad escape
+    @example(lines=["u\td\tt\\"])  # a backslash that ends the line
+    @example(lines=["u\td\tt\r\r\n", "u\td\tt\n\n", "\t\t"])
+    @example(lines=["u\\t\td\tt\\r\\n\\\\"])
+    def test_load_equals_the_strip_then_split_loop(self, lines):
+        assert load_outcome(load_corpus, lines) == load_outcome(old_load_corpus, lines)
+
+    def test_file_lines_end_at_a_lone_cr_but_not_at_nel_or_ls(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(
+            "u1\td\ta\x85b\u2028c\ru2\td\tt\r\n\nu3\td\tx\\ty\n".encode("utf-8")
+        )
+        with open(path, encoding="utf-8", newline="") as fh:
+            expected = old_load_corpus(fh)
+        assert expected == [
+            CorpusRecord("u1", "d", "a\x85b\u2028c"),
+            CorpusRecord("u2", "d", "t"),
+            CorpusRecord("u3", "d", "x\ty"),
+        ]
+        assert load_corpus_file(str(path)) == expected

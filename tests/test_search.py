@@ -1,5 +1,6 @@
 """Queries, corpus TSV format, budget ledger, cache, backends, gateway."""
 
+import inspect
 import io
 import json
 import tempfile
@@ -122,6 +123,30 @@ def test_requests_for():
 def test_parse_query_terms():
     phrases = parse_query_terms('"Ada Veil" and "Bo Quist" near  "" x')
     assert phrases == ["Ada Veil", "Bo Quist"]
+
+
+class TestCorpusRecord:
+    FIELDS = ("https://a.example/1", "a.example", "Ada Veil and Bo Quist")
+
+    def test_fields_cannot_be_assigned(self):
+        record = CorpusRecord(*self.FIELDS)
+        with pytest.raises(AttributeError):
+            record.text = "other"
+
+    def test_built_from_its_fields_by_position(self):
+        record = CorpusRecord(*self.FIELDS)
+        assert (record.url, record.domain, record.text) == self.FIELDS
+
+    def test_equal_fields_mean_equal_records_and_hashes(self):
+        a, b = CorpusRecord(*self.FIELDS), CorpusRecord(*self.FIELDS)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_field_names(self):
+        names = tuple(inspect.signature(CorpusRecord).parameters)
+        assert names == ("url", "domain", "text")
+        assert CorpusRecord(**dict(zip(names, self.FIELDS))) == CorpusRecord(*self.FIELDS)
 
 
 class TestCorpusTsv:
