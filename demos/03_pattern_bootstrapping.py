@@ -77,13 +77,13 @@ for record in report.iterations:
         print(f"  candidate {cand.phrase!r:<26} n={cand.n:<3} m={cand.m:<2} "
               f"d={cand.d}  score={cand.score}")
     if record.admitted:
-        print(f"  admitted: {[p.phrase for p in record.admitted]}")
+        print(f"  admitted: {record.admitted}")
     else:
         print("  admitted: nothing new, stopping")
     print(f"  graph now {record.node_count} nodes / {record.edge_count} edges\n")
 
 print(f"stopped: {report.stopped_reason} after {len(report.iterations)} iterations")
-print(f"pattern set: {[p.phrase for p in patterns]}")
+print(f"pattern set: {patterns}")
 
 # the guests were invisible to the seed phrase
 for guest in guests:

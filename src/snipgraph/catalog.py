@@ -189,8 +189,10 @@ class EntityCatalog:
 def load_catalog(source: IO[str] | Iterable[str]) -> EntityCatalog:
     """Load one name per line; blanks and normalized duplicates are skipped.
 
-    Undecodable input raises CatalogLoadError naming the byte offset, and a
-    name that `graph.check_name` refuses one naming the line.
+    Undecodable input raises CatalogLoadError naming the byte offset (in a
+    text stream, from the start of the chunk it decoded; `load_catalog_file`
+    counts from the start of the file), and a name that `graph.check_name`
+    refuses one naming the line.
     """
     catalog = EntityCatalog()
     try:
@@ -207,8 +209,23 @@ def load_catalog(source: IO[str] | Iterable[str]) -> EntityCatalog:
 
 
 def load_catalog_file(path: str) -> EntityCatalog:
-    with open(path, "r", encoding="utf-8-sig", newline=None) as fh:
-        return load_catalog(fh)
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline=None) as fh:
+            return load_catalog(fh)
+    except CatalogLoadError as exc:
+        if not isinstance(exc.__cause__, UnicodeDecodeError):
+            raise
+        # the text reader counts from the chunk it decoded; decoding the whole
+        # file counts from its first byte, a BOM included
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            raise CatalogLoadError(
+                f"invalid UTF-8 in catalog input at byte {whole.start}"
+            ) from whole
+        raise
 
 
 def find_entity_matches(

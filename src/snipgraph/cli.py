@@ -42,7 +42,6 @@ from .engine import (
 from .extract import (
     DEFAULT_MATCH_PATTERNS,
     DEFAULT_QUERY_PATTERNS,
-    Pattern,
     load_patterns_file,
     save_patterns_file,
     unescape_pattern,
@@ -134,12 +133,13 @@ T = TypeVar("T")
 
 
 def _read_lines(path: str, what: str) -> list[str]:
+    # lines end where the catalog reader's do: at "\n", "\r" and "\r\n" only
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = fh.read().splitlines()
+            lines = [ln.strip() for ln in fh]
     except OSError as exc:
         raise ConfigError(f"cannot read {what}: {exc}") from exc
-    return [ln.strip() for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
+    return [ln for ln in lines if ln and not ln.startswith("#")]
 
 
 def _require(value: T | None, name: str) -> T:
@@ -184,7 +184,7 @@ def _load_phrases(
         raise ConfigError(f"cannot read {flag} file: {exc}") from exc
     if not patterns:
         raise ConfigError(f"pattern file is empty: {path}")
-    return tuple(p.phrase for p in patterns)
+    return tuple(patterns)
 
 
 def _build_gateway(args: argparse.Namespace) -> SearchGateway:
@@ -253,7 +253,7 @@ def _finish_run(
     graph: SocialGraph,
     report: RunReport,
     mode: str,
-    patterns: list[Pattern] | None,
+    patterns: list[str] | None,
     query_log: list[QueryLogEntry],
 ) -> int:
     _ensure_parent(prefix)
@@ -291,17 +291,12 @@ def cmd_extract(args: argparse.Namespace) -> int:
     prefix = _require(args.output_prefix, "--output-prefix")
     catalog = _load_catalog(args)
     gateway = _build_gateway(args)
+    patterns: list[str] | None = None
     if run_config.mode == MODE_PATTERN_ITER:
-        graph, report, patterns = expand_with_pattern_mining(
-            run_config, gateway, catalog
-        )
-        final_patterns: list[Pattern] | None = patterns
+        graph, report, patterns = expand_with_pattern_mining(run_config, gateway, catalog)
     else:
         graph, report = expand_static(run_config, gateway, catalog)
-        final_patterns = None
-    return _finish_run(
-        prefix, graph, report, run_config.mode, final_patterns, gateway.ledger.log
-    )
+    return _finish_run(prefix, graph, report, run_config.mode, patterns, gateway.ledger.log)
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:

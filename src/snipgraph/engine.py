@@ -29,7 +29,6 @@ from .catalog import EntityCatalog
 from .extract import (
     DEFAULT_MATCH_PATTERNS,
     DEFAULT_QUERY_PATTERNS,
-    Pattern,
     PatternCandidate,
     dedupe_patterns,
     extract_edges,
@@ -132,7 +131,7 @@ class IterationRecord:
     steps: list[StepRecord]
     pair_queries_issued: int
     candidates: list[PatternCandidate]
-    admitted: list[Pattern]
+    admitted: list[str]
     node_count: int
     edge_count: int
     requests_used: int
@@ -145,7 +144,7 @@ class RunReport:
     seeds: list[str]
     steps: list[StepRecord] = field(default_factory=list)
     iterations: list[IterationRecord] = field(default_factory=list)
-    patterns: list[Pattern] = field(default_factory=list)
+    patterns: list[str] = field(default_factory=list)
     nodes_found: int = 0
     edges_found: int = 0
     requests_used: int = 0
@@ -223,7 +222,7 @@ class Run:
         self.steps: list[StepRecord] = []
         # filled by pattern-mining runs; a baseline run has neither
         self.iterations: list[IterationRecord] = []
-        self.match_patterns: list[Pattern] = []
+        self.match_patterns: list[str] = []
 
     def search(self, query: Query) -> list[CorpusRecord]:
         """Up to k snippets for `query`. A query this run already searched
@@ -306,20 +305,19 @@ class _Run(Run):
         config.validate()
         super().__init__(config.seeds, gateway, catalog, config.max_requests, config.k)
         self.config = config
-        seeded = dedupe_patterns(Pattern(p, "seed") for p in config.query_patterns)
-        self.query_patterns = [p for p in seeded if is_queryable_phrase(p.phrase)]
+        seeded = dedupe_patterns(config.query_patterns)
+        self.query_patterns = [p for p in seeded if is_queryable_phrase(p)]
         # queries also match, so the effective match set covers both lists
-        self.match_patterns = dedupe_patterns(
-            Pattern(p, "seed")
-            for p in (*config.match_patterns, *config.query_patterns)
-        )
-        self.queried: set[tuple[str, str]] = set()
+        self.match_patterns = dedupe_patterns((*config.match_patterns, *config.query_patterns))
+        # how many query patterns each entity has sent: query_patterns only
+        # grows, by phrases with new keys, so what it sent is always a prefix
+        self.sent: dict[str, int] = {}
 
-    def pending_patterns(self, entity: str) -> list[Pattern]:
+    def pending_patterns(self, entity: str) -> list[str]:
         """Query patterns not yet sent for `entity`; none if it cannot be quoted."""
         if not is_queryable_phrase(entity):
             return []
-        return [p for p in self.query_patterns if (entity, p.key) not in self.queried]
+        return self.query_patterns[self.sent.get(entity, 0):]
 
     def expand_entity(self, entity: str) -> StepRecord:
         """Query every pending pattern for one entity and merge the evidence.
@@ -333,8 +331,8 @@ class _Run(Run):
         0 snippets. A transport failure drops the whole step (see `grow`).
         """
         pending = self.pending_patterns(entity)
-        self.queried.update((entity, p.key) for p in pending)
-        pooled = self.search_pooled(connectivity_query(entity, p.phrase) for p in pending)
+        self.sent[entity] = len(self.query_patterns)
+        pooled = self.search_pooled(connectivity_query(entity, p) for p in pending)
         evidence = extract_edges(pooled, self.catalog, self.match_patterns, self.spotted)
         return self.grow(entity, len(pooled), evidence, self.config.tau)
 
@@ -376,10 +374,10 @@ def expand_static(
     return run.graph, run.finish(lambda: run.run_frontier(run.seeds))
 
 
-def _mine_patterns(run: _Run) -> tuple[int, list[PatternCandidate], list[Pattern]]:
+def _mine_patterns(run: _Run) -> tuple[int, list[PatternCandidate], list[str]]:
     """Pair-query the heaviest edges and admit high-scoring phrases.
 
-    Returns (pair queries issued, candidates, admitted patterns). The budget
+    Returns (pair queries issued, candidates, admitted phrases). The budget
     is checked before each pair query; candidates are scored over whatever
     was fetched before the cutoff. A pair query an earlier pass already sent
     is answered from the run's memo for no request, so the candidates are
@@ -400,17 +398,17 @@ def _mine_patterns(run: _Run) -> tuple[int, list[PatternCandidate], list[Pattern
     pooled = run.search_pooled(queries())
     issued = len(run.ledger.log) - logged
     candidates = extract_pattern_candidates(pooled, run.catalog, memo=run.spotted)
-    known = {p.key for p in run.match_patterns}
-    admitted: list[Pattern] = []
+    known = {pattern_key(p) for p in run.match_patterns}
+    admitted: list[str] = []
     for cand in candidates:
-        if cand.score <= config.sigma or pattern_key(cand.phrase) in known:
+        key = pattern_key(cand.phrase)
+        if cand.score <= config.sigma or key in known:
             continue
-        pat = Pattern(cand.phrase, "mined")
-        known.add(pat.key)
-        admitted.append(pat)
-        run.match_patterns.append(pat)
-        if is_queryable_phrase(pat.phrase):
-            run.query_patterns.append(pat)
+        known.add(key)
+        admitted.append(cand.phrase)
+        run.match_patterns.append(cand.phrase)
+        if is_queryable_phrase(cand.phrase):
+            run.query_patterns.append(cand.phrase)
     return issued, candidates, admitted
 
 
@@ -418,7 +416,7 @@ def expand_with_pattern_mining(
     config: RunConfig,
     gateway: SearchGateway,
     catalog: EntityCatalog,
-) -> tuple[SocialGraph, RunReport, list[Pattern]]:
+) -> tuple[SocialGraph, RunReport, list[str]]:
     """Alternate frontier expansion with pattern mining for max_iterations
     rounds; returns the graph, the report, and the final pattern set.
 

@@ -1,4 +1,4 @@
-"""Pattern handling and edge extraction from snippet text.
+"""Connection patterns and edge extraction from snippet text.
 
 Two entities are connected when a known pattern phrase fills the gap between
 adjacent name occurrences. Gap comparison collapses whitespace runs and
@@ -50,27 +50,12 @@ def pattern_key(phrase: str) -> str:
     return " ".join(phrase.split())
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """A connection phrase; `origin` records how it entered the pattern set."""
-
-    phrase: str
-    origin: str = "seed"
-
-    @property
-    def key(self) -> str:
-        return pattern_key(self.phrase)
-
-
-def dedupe_patterns(patterns: Iterable[Pattern]) -> list[Pattern]:
-    """Drop patterns whose comparison key repeats; first occurrence wins."""
-    seen: set[str] = set()
-    out: list[Pattern] = []
-    for pat in patterns:
-        if pat.key not in seen:
-            seen.add(pat.key)
-            out.append(pat)
-    return out
+def dedupe_patterns(patterns: Iterable[str]) -> list[str]:
+    """Drop phrases whose comparison key repeats; first occurrence wins."""
+    first: dict[str, str] = {}
+    for phrase in patterns:
+        first.setdefault(pattern_key(phrase), phrase)
+    return list(first.values())
 
 
 def unescape_pattern(raw: str) -> str:
@@ -85,34 +70,34 @@ def _escape_pattern(phrase: str) -> str:
     return re.sub(r"\A +| +\Z", lambda m: SPACE_ESCAPE * len(m[0]), body)
 
 
-def load_patterns(source: IO[str] | Iterable[str]) -> list[Pattern]:
+def load_patterns(source: IO[str] | Iterable[str]) -> list[str]:
     """Read one pattern per line; blank lines and `#` comments are skipped.
 
     The sequence `\\s` denotes a space, so a bare `\\s` line is the
     single-space pattern; doubled backslashes encode literal ones.
-    Duplicate keys are dropped, first wins. Every pattern read is a seed.
+    Duplicate keys are dropped, first wins.
     """
-    patterns: list[Pattern] = []
+    patterns: list[str] = []
     for line in source:
         raw = line.rstrip("\r\n")
         if not raw.strip() or raw.lstrip().startswith("#"):
             continue
-        patterns.append(Pattern(unescape_pattern(raw)))
+        patterns.append(unescape_pattern(raw))
     return dedupe_patterns(patterns)
 
 
-def load_patterns_file(path: str) -> list[Pattern]:
+def load_patterns_file(path: str) -> list[str]:
     with open(path, "r", encoding="utf-8-sig") as fh:
         return load_patterns(fh)
 
 
-def save_patterns(patterns: Iterable[Pattern], fh: IO[str]) -> None:
+def save_patterns(patterns: Iterable[str], fh: IO[str]) -> None:
     # leading/trailing spaces go out escaped so they survive editors
-    for pat in patterns:
-        fh.write(_escape_pattern(pat.phrase) + "\n")
+    for phrase in patterns:
+        fh.write(_escape_pattern(phrase) + "\n")
 
 
-def save_patterns_file(patterns: Iterable[Pattern], path: str) -> None:
+def save_patterns_file(patterns: Iterable[str], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         save_patterns(patterns, fh)
 
@@ -129,7 +114,7 @@ def _adjacent_pairs(text: str, catalog: EntityCatalog, memo: dict | None):
 def extract_edges(
     snippets: Iterable[CorpusRecord],
     catalog: EntityCatalog,
-    patterns: Iterable[Pattern],
+    patterns: Iterable[str],
     memo: dict | None = None,
 ) -> dict[tuple[str, str], int]:
     """Count pattern-connected entity pairs across a batch of snippets.
@@ -140,7 +125,7 @@ def extract_edges(
     spotted through `memo`, the spotting memo of find_entity_matches, so a
     run that passes its own memo spots each distinct text once.
     """
-    keys = {pat.key for pat in patterns}
+    keys = {pattern_key(phrase) for phrase in patterns}
     counts: dict[tuple[str, str], int] = {}
     for snippet in snippets:
         for name1, name2, gap in _adjacent_pairs(snippet.text, catalog, memo):
@@ -152,7 +137,7 @@ def extract_edges(
 
 
 def candidate_score(n: int, m: int, d: int) -> int:
-    """Pattern quality: occurrences * distinct pairs * distinct domains squared."""
+    """Candidate quality: occurrences * distinct pairs * distinct domains squared."""
     return n * m * d * d
 
 

@@ -31,7 +31,7 @@ from snipgraph.engine import (
     expand_static,
     expand_with_pattern_mining,
 )
-from snipgraph.extract import Pattern, candidate_score, extract_edges
+from snipgraph.extract import candidate_score, extract_edges
 from snipgraph.frontier import (
     PRIORITY,
     Frontier,
@@ -122,7 +122,7 @@ def big_corpus(tmp_path_factory):
 def oracle_edge_set(records, names, seed):
     """Scan the whole corpus, keep pairs meeting the evidence threshold,
     then restrict to the component the seed can reach."""
-    evidence = extract_edges(records, build_catalog(names), [Pattern("and")])
+    evidence = extract_edges(records, build_catalog(names), ["and"])
     surviving = {pair for pair, count in evidence.items() if count >= 2}
     adjacency = {}
     for a, b in surviving:
@@ -337,7 +337,7 @@ def test_06_pattern_mining(verdict):
     )
 
     failures = []
-    admitted = [p.phrase for it in run.iterations for p in it.admitted]
+    admitted = [p for it in run.iterations for p in it.admitted]
     if admitted != ["meets with", "performs beside", "speaks alongside"]:
         failures.append(f"admitted {admitted}")
     if len(run.iterations) != 2 or run.stopped_reason != FIXED_POINT:

@@ -59,6 +59,21 @@ class TestEntityCatalog:
         with pytest.raises(CatalogLoadError, match="invalid UTF-8"):
             load_catalog_file(str(path))
 
+    @pytest.mark.parametrize(
+        "data, offset",
+        [
+            (b"Ada Veil\n" * 1000 + b"Bo \xffQuist\n", 9006),
+            (b"Ada\xff", 6),
+        ],
+        ids=["past-first-chunk", "first-line"],
+    )
+    def test_bad_byte_offset_counts_from_the_file_start(self, tmp_path, data, offset):
+        # past the text reader's first chunk, and after a BOM
+        path = tmp_path / "names.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + data)
+        with pytest.raises(CatalogLoadError, match=f"at byte {offset}$"):
+            load_catalog_file(str(path))
+
 
 class TestPhraseRegex:
     def test_word_boundaries(self):

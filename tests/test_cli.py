@@ -132,7 +132,7 @@ class TestMinePatterns:
         ws = mining_workspace
         assert main(base_args(ws, command="mine-patterns")) == 0
         patterns = load_patterns_file(str(ws / "out/run.patterns.txt"))
-        assert "beside" in [p.phrase for p in patterns]
+        assert "beside" in patterns
         summary = (ws / "out/run.summary.txt").read_text()
         assert "mode: pattern-iter\n" in summary
         assert "iterations: 2\n" in summary
@@ -490,6 +490,30 @@ class TestErrorPaths:
         args[4] = str(workspace / "absent.txt")
         assert main(args) == 1
         assert "cannot read catalog:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, kind",
+        [
+            ("--seeds", "seeds file"),
+            ("--patterns", "patterns file"),
+            ("--match-patterns", "match_patterns file"),
+            ("--corpus", "corpus"),
+        ],
+    )
+    def test_unreadable_input_file(self, workspace, capsys, flag, kind):
+        args = base_args(workspace) + [flag, str(workspace / "absent.txt")]
+        assert main(args) == 1
+        assert f"cannot read {kind}:" in capsys.readouterr().err
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\x0c"])
+    def test_seeds_and_catalog_split_lines_alike(self, workspace, sep):
+        # neither reader ends a line at a separator that is not "\n" or "\r"
+        names = write_lines(workspace / "names.txt", [f"Ada{sep}Veil", B, C])
+        args = base_args(workspace)
+        args[2] = args[4] = names
+        assert main(args) == 0
+        assert "seeds: 3\n" in (workspace / "out/run.summary.txt").read_text()
 
     def test_empty_catalog(self, workspace, capsys):
         (workspace / "names.txt").write_text("\n\n", encoding="utf-8")

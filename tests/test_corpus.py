@@ -13,7 +13,7 @@ from snipgraph.corpus import (
     synthesize_from_edges,
     write_names_file,
 )
-from snipgraph.extract import Pattern, extract_edges
+from snipgraph.extract import extract_edges
 
 
 class TestMakeNames:
@@ -110,7 +110,7 @@ class TestSynthesizeFromEdges:
         catalog = EntityCatalog()
         for name in names:
             catalog.add(name)
-        found = extract_edges(corpus.records, catalog, [Pattern("and")])
+        found = extract_edges(corpus.records, catalog, ["and"])
         assert found == {
             tuple(sorted((a, b))): w for a, b, w in edges
         }

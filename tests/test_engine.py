@@ -25,12 +25,16 @@ from snipgraph.engine import (
     write_trace_csv,
 )
 from snipgraph.corpus import synthesize
+from snipgraph.extract import pattern_key
 from snipgraph.search import (
+    CONNECTIVITY,
     PAIR,
     ReplayBackend,
     SearchGateway,
     SnippetCache,
     TransportError,
+    connectivity_query,
+    is_queryable_phrase,
 )
 
 from conftest import (
@@ -136,7 +140,7 @@ class TestExpandStatic:
         # empty match set still extracts through the query pattern itself
         (graph, report), _gw = run_static(chain_corpus(), match_patterns=())
         assert graph.has_edge(A, B)
-        assert [p.phrase for p in report.patterns] == ["and"]
+        assert report.patterns == ["and"]
 
     def test_unqueryable_pattern_matches_but_never_queries(self):
         builder = CorpusBuilder()
@@ -305,11 +309,11 @@ class TestPatternMining:
         by_phrase = {c.phrase: c for c in first.candidates}
         assert by_phrase["alongside"].score == 5
         assert by_phrase["beside"].score == 6
-        assert [p.phrase for p in first.admitted] == ["beside"]
+        assert first.admitted == ["beside"]
 
     def test_known_patterns_not_readmitted(self):
         _graph, report, _patterns, _gw = run_mining(mining_corpus())
-        admitted = [p.phrase for it in report.iterations for p in it.admitted]
+        admitted = [p for it in report.iterations for p in it.admitted]
         assert "and" not in admitted
 
     def test_fixed_point_stop(self):
@@ -335,7 +339,7 @@ class TestPatternMining:
         builder.pair(A, B, times=2)
         builder.pair(A, B, phrase="& guest", times=6)
         _graph, _report, patterns, gateway = run_mining(builder)
-        assert "& guest" in [p.phrase for p in patterns]
+        assert "& guest" in patterns
         assert all("& guest" not in entry.raw for entry in gateway.ledger.log)
 
     def test_pattern_set_grows_monotonically(self):
@@ -349,8 +353,8 @@ class TestPatternMining:
         seen = set()
         for iteration in report.iterations:
             for pat in iteration.admitted:
-                assert pat.key not in seen
-                seen.add(pat.key)
+                assert pattern_key(pat) not in seen
+                seen.add(pattern_key(pat))
 
     def test_single_iteration_matches_static_graph(self):
         graph, report, _patterns, _gw = run_mining(mining_corpus(), max_iterations=1)
@@ -367,7 +371,7 @@ class TestPatternMining:
             builder.pair(B, C, phrase="meets with", domain=f"c{i}.example")
         builder.pair(C, D, phrase="meets with", times=2)
         graph, report, _patterns, _gw = run_mining(builder)
-        assert [p.phrase for p in report.iterations[0].admitted] == ["meets with"]
+        assert report.iterations[0].admitted == ["meets with"]
         assert graph.has_edge(C, D)
         assert graph.has_node(D)
         assert report.iterations[1].node_count > report.iterations[0].node_count
@@ -391,7 +395,7 @@ class TestPatternMining:
             (B, 8),
             (duo, 0),
         ]
-        assert [p.phrase for p in first.admitted] == ["beside"]
+        assert first.admitted == ["beside"]
         assert [s.entity for s in second.steps] == [A, B, C]
         assert len(gateway.ledger.log) == 9
         assert all(duo not in entry.raw for entry in gateway.ledger.log)
@@ -411,6 +415,42 @@ class TestPatternMining:
         steps = [(s.entity, s.snippet_count) for s in report.steps]
         assert steps == [(duo, 0), (A, 2), (B, 2)]
         assert steps == [(s.entity, s.snippet_count) for s in static_report.steps]
+
+    def test_round_two_sends_only_the_admitted_patterns_of_round_one(self):
+        duo = "Duo & Co"
+        builder = CorpusBuilder()
+        builder.pair(A, B, times=2)
+        builder.pair(B, C, phrase="with", times=2)
+        builder.pair(A, duo, times=2)
+        for i in range(3):
+            builder.pair(A, B, phrase="beside", domain=f"c{i}.example")
+            builder.pair(A, B, phrase="& guest", domain=f"c{i}.example")
+        config = RunConfig(
+            seeds=(A,), query_patterns=("and", "with"), mode=MODE_PATTERN_ITER,
+            max_iterations=2,
+        )
+        gateway = builder.gateway()
+        _graph, report, _patterns = expand_with_pattern_mining(
+            config, gateway, make_catalog([A, B, C, duo])
+        )
+        first = report.iterations[0]
+        assert [s.entity for s in first.steps] == [A, B, duo, C]
+        assert first.admitted == ["& guest", "beside"]
+        log = gateway.ledger.log
+        first_pair = next(i for i, e in enumerate(log) if e.kind == PAIR)
+        round_one = [e.raw for e in log[:first_pair]]
+        round_two = [e.raw for e in log[first_pair:] if e.kind == CONNECTIVITY]
+        # each queryable entity of round 1 sends each queryable admitted
+        # pattern once, and nothing it sent in round 1
+        expected = [
+            connectivity_query(s.entity, p).raw
+            for s in first.steps
+            for p in first.admitted
+            if is_queryable_phrase(s.entity) and is_queryable_phrase(p)
+        ]
+        assert Counter(round_two) == Counter(expected)
+        assert len(expected) == 3
+        assert not set(round_one) & set(round_two)
 
     def test_budget_cuts_mining_pass(self):
         builder = CorpusBuilder()
@@ -462,7 +502,7 @@ class TestPatternMining:
             config, gateway, make_catalog(corpus.names)
         )
         assert [(c.phrase, c.score) for c in report.iterations[0].candidates] == candidates
-        assert [[p.phrase for p in it.admitted] for it in report.iterations] == admitted
+        assert [it.admitted for it in report.iterations] == admitted
         assert report.stopped_reason == FIXED_POINT
         truth = {(a, b) for a, b, _w in corpus.truth_graph().edges()}
         found = {(a, b) for a, b, _w in graph.edges()}
@@ -568,7 +608,7 @@ class TestAnswerMemo:
         graph, report, _patterns = expand_with_pattern_mining(
             config, gateway, make_catalog(corpus.names)
         )
-        assert [p.phrase for p in report.iterations[0].admitted] == ["And"]
+        assert report.iterations[0].admitted == ["And"]
         truth = sorted(corpus.truth_graph().edges())
         assert len(truth) == 114
         assert [(a, b) for a, b, _w in sorted(graph.edges())] == [(a, b) for a, b, _w in truth]

@@ -7,7 +7,6 @@ from snipgraph.extract import (
     DEFAULT_MATCH_PATTERNS,
     DEFAULT_QUERY_PATTERNS,
     SPACE_PATTERN,
-    Pattern,
     PatternCandidate,
     candidate_score,
     dedupe_patterns,
@@ -45,30 +44,28 @@ def test_default_sets():
 
 
 def test_dedupe_patterns_first_wins():
-    patterns = [Pattern("and", "seed"), Pattern(" and ", "mined"), Pattern("y", "seed")]
-    kept = dedupe_patterns(patterns)
-    assert [(p.phrase, p.origin) for p in kept] == [("and", "seed"), ("y", "seed")]
+    assert dedupe_patterns(["and", " and ", "y"]) == ["and", "y"]
 
 
 class TestPatternFiles:
     def test_roundtrip_with_escapes(self):
-        patterns = [Pattern(" "), Pattern(" and"), Pattern("y"), Pattern("a\\b")]
+        patterns = [" ", " and", "y", "a\\b"]
         buf = io.StringIO()
         save_patterns(patterns, buf)
         assert buf.getvalue() == "\\s\n\\sand\ny\na\\\\b\n"
         back = load_patterns(io.StringIO(buf.getvalue()))
-        assert [p.phrase for p in back] == [" ", " and", "y", "a\\b"]
+        assert back == [" ", " and", "y", "a\\b"]
 
     def test_skips_blanks_and_comments(self):
         back = load_patterns(["# comment\n", "\n", "and\n", "  \n", "meets\n"])
-        assert [p.phrase for p in back] == ["and", "meets"]
+        assert back == ["and", "meets"]
 
     def test_duplicate_keys_dropped(self):
         back = load_patterns(["and\n", " and \n"])
-        assert [p.phrase for p in back] == ["and"]
+        assert back == ["and"]
 
 
-ALL_PATTERNS = [Pattern(p) for p in DEFAULT_MATCH_PATTERNS]
+ALL_PATTERNS = list(DEFAULT_MATCH_PATTERNS)
 
 
 class TestExtractEdges:
@@ -109,7 +106,7 @@ class TestExtractEdges:
 
     def test_restricted_pattern_set(self, catalog):
         snippets = [make_snippet("Ada Veil meets Bo Quist und Cy Marsh")]
-        edges = extract_edges(snippets, catalog, [Pattern("meets")])
+        edges = extract_edges(snippets, catalog, ["meets"])
         assert set(edges) == {("Ada Veil", "Bo Quist")}
 
 
