@@ -216,9 +216,9 @@ def _given(args: argparse.Namespace, *dests: str) -> dict[str, object]:
 def _build_run_config(args: argparse.Namespace, default_mode: str) -> RunConfig:
     run_config = RunConfig(
         seeds=_load_seeds(args),
-        query_patterns=_load_phrases(args.patterns, "patterns", DEFAULT_QUERY_PATTERNS),
+        query_patterns=_load_phrases(args.patterns, "--patterns", DEFAULT_QUERY_PATTERNS),
         match_patterns=_load_phrases(
-            args.match_patterns, "match_patterns", DEFAULT_MATCH_PATTERNS
+            args.match_patterns, "--match-patterns", DEFAULT_MATCH_PATTERNS
         ),
         mode=default_mode if args.mode is None else args.mode,
         **_given(args, "tau", "sigma", "alpha", "h", "k", "max_requests", "max_iterations"),

@@ -365,32 +365,28 @@ class ReplayBackend:
     Results keep corpus insertion order, which stands in for search-engine
     ranking and makes replay runs fully deterministic.
 
-    Each query's phrases are folded once by `catalog.fold_text` (casefolded,
-    each whitespace run one space), as is each record's text, and the runs
-    of both are read from their whitespace words by `catalog.text_runs`.
-    Only candidate records are tested against the phrases: those holding
-    every run of every phrase, or every record when the phrases hold no
-    run. They are found in an inverted index from run to record by walking
-    the short side: the rarest run's posting list is copied into a set, and
-    each longer list is met as a set of its own, built the first time a
-    query needs it and kept, so each intersection costs the smaller side.
-    The index is built on the first query, in one pass that also keeps each
-    record's folded text. A candidate is then checked by
-    `catalog.folded_phrase_test`, one str.find per phrase in its folded
-    text, with no regex compiled. So "Strauß" and "STRAUSS" match one
-    phrase, while "İris" and "ıris" do not match "Iris". The cost of a query
-    thus grows with the records that can match, not with the corpus.
-
-    Answers are memoised by the quoted phrases, since nothing else in a
-    query decides them: `"A" and`, `"A" with` and `"A"` share one scan.
+    Each phrase is matched once: its answer, the corpus-ordered ids of the
+    records holding it, is memoised by the phrase folded by
+    `catalog.fold_text`. A query takes the records common to its phrases'
+    answers, or every record when it quotes none: `"A" and` and `"A"` share
+    one scan, and `"A" "B"` needs none after `"A"` and `"B"`. A phrase is
+    tested only against the records holding every run of it (every record
+    when it holds none), found in an inverted index from run to record,
+    built on the first query in one pass that also folds each record's text
+    and reads its runs by `catalog.text_runs`; a posting list may repeat a
+    record, once per occurrence. The rarest run's list is copied into a set,
+    and each longer one is met as a set kept for later phrases.
+    `catalog.folded_phrase_test` checks each candidate with str.find:
+    "Strauß" and "STRAUSS" match one phrase; "İris" and "ıris" miss "Iris".
     """
 
     def __init__(self, records: Iterable[CorpusRecord]) -> None:
         self.records = list(records)
-        self._memo: dict[tuple[str, ...], list[CorpusRecord]] = {}
+        # folded phrase -> corpus-ordered ids of the records holding it
+        self._answers: dict[str, list[int]] = {}
         self._postings: dict[str, list[int]] | None = None
         self._folded: list[str] = []
-        # the posting lists that a query met beside a shorter one, as sets
+        # the posting lists that a phrase met beside a shorter one, as sets
         self._sets: dict[str, set[int]] = {}
 
     def _index(self) -> dict[str, list[int]]:
@@ -399,7 +395,7 @@ class ReplayBackend:
             for i, rec in enumerate(self.records):
                 words = rec.text.casefold().split()
                 self._folded.append(" ".join(words))  # fold_text(rec.text)
-                for run in set(text_runs(words)):
+                for run in text_runs(words):
                     posting = postings.get(run)
                     if posting is None:
                         postings[run] = [i]
@@ -408,13 +404,13 @@ class ReplayBackend:
             self._postings = postings
         return self._postings
 
-    def _candidates(self, bodies: tuple[str, ...]) -> list[int]:
-        """Corpus-ordered indices of the records holding every run of the
-        folded phrases `bodies`; every record when they hold no run."""
+    def _candidates(self, body: str) -> list[int]:
+        """Corpus-ordered ids of the records holding every run of the
+        folded phrase `body`; every record when it holds no run."""
         postings = self._index()
         # a token-bounded match of a folded phrase in a folded text implies
         # that every run of the phrase is a run of the text
-        runs = text_runs(" ".join(bodies).split())
+        runs = text_runs(body.split())
         runs = sorted(set(runs), key=lambda run: len(postings.get(run, ())))
         if not runs:
             return list(range(len(self.records)))
@@ -429,21 +425,25 @@ class ReplayBackend:
             hits &= held
         return sorted(hits)
 
-    def _matches(self, raw_query: str) -> list[CorpusRecord]:
-        key = tuple(parse_query_terms(raw_query))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        bodies = tuple(map(fold_text, key))
-        hits = self._candidates(bodies)
-        for test in map(folded_phrase_test, bodies):
-            hits = [i for i in hits if test(self._folded[i])]
-        found = [self.records[i] for i in hits]
-        self._memo[key] = found
-        return found
+    def _answer(self, body: str) -> list[int]:
+        """Corpus-ordered ids of the records holding the folded phrase `body`."""
+        ids = self._answers.get(body)
+        if ids is None:
+            test, folded = folded_phrase_test(body), self._folded  # filled by _index
+            ids = self._answers[body] = [i for i in self._candidates(body) if test(folded[i])]
+        return ids
+
+    def _matches(self, raw_query: str) -> list[int] | range:
+        """Corpus-ordered ids of the records holding every quoted phrase."""
+        bodies = map(fold_text, parse_query_terms(raw_query))
+        answers = sorted(map(self._answer, bodies), key=len) or [range(len(self.records))]
+        hits = answers[0]  # the shortest answer, met by each longer one as a set
+        for held in map(set, answers[1:]):
+            hits = [i for i in hits if i in held]
+        return hits
 
     def fetch(self, raw_query: str, offset: int, count: int) -> list[CorpusRecord]:
-        return self._matches(raw_query)[offset : offset + count]
+        return [self.records[i] for i in self._matches(raw_query)[offset : offset + count]]
 
 
 DEFAULT_ENDPOINT = "https://api.bing.microsoft.com/v7.0/search"

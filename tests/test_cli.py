@@ -495,8 +495,8 @@ class TestErrorPaths:
         "flag, kind",
         [
             ("--seeds", "seeds file"),
-            ("--patterns", "patterns file"),
-            ("--match-patterns", "match_patterns file"),
+            ("--patterns", "--patterns file"),
+            ("--match-patterns", "--match-patterns file"),
             ("--corpus", "corpus"),
         ],
     )

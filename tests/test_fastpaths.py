@@ -269,6 +269,26 @@ class TestReplayIndex:
         batch=[('"Bo Quist" "Ada"', 0, 5), ('"-Bo"', 0, 5), ('"Kai Jr." "Bo"', 0, 5),
                ('"strauss bo"', 0, 5), ('"\u0345x"', 0, 5)],
     )
+    # pair queries over phrases already answered alone, in both orders and
+    # from an offset; three phrases, the longest answer cutting the other two
+    @example(
+        corpus=["Ada Veil met Bo Quist", "Bo Quist", "Ada Veil", "Bo Quist and Ada Veil",
+                "Ada Veil alone", "bo quist, ada veil"],
+        batch=[('"Ada Veil"', 0, 5), ('"Bo Quist"', 0, 5), ('"Ada Veil" "Bo Quist"', 1, 5),
+               ('"Bo Quist" "Ada Veil" and', 1, 2), ('"Bo" "Quist" "Veil"', 0, 5)],
+    )
+    # the same phrase twice
+    @example(corpus=["Ada Veil", "Bo", "ada veil bo"],
+             batch=[('"Ada Veil" "ADA VEIL"', 0, 5), ('"Bo" "Bo"', 1, 5)])
+    # a phrase with no run, beside one with runs
+    @example(corpus=["x-Bo", "Bo", "- Bo", "Ada -"], batch=[('"-" "Bo"', 0, 5), ('"Bo" "-"', 1, 5)])
+    # no quoted phrase
+    @example(corpus=["Ada", "Bo", "x"], batch=[("and x", 1, 5), ("", 0, 2)])
+    # records holding one run twice, which their posting lists repeat
+    @example(
+        corpus=["Bo Bo Quist", "Bo", "Quist Bo Quist"],
+        batch=[('"Bo"', 0, 5), ('"Bo Quist"', 0, 5), ('"Quist" "Bo"', 1, 5)],
+    )
     def test_fetch_equals_linear_scan(self, corpus, batch):
         records = [CorpusRecord(f"u{i}", "d", text) for i, text in enumerate(corpus)]
         backend = ReplayBackend(records)

@@ -313,6 +313,18 @@ class TestReplayBackend:
         assert backend.fetch('"Ada Veil" "Bo Quist" met', 0, 50) == pair == records[3:]
         assert len(scans) == 2
 
+    def test_pair_of_answered_phrases_needs_no_scan(self):
+        records = matching_records(3) + [CorpusRecord("u", "d", "Bo Quist met Ada Veil")]
+        backend = ReplayBackend(records)
+        backend.fetch('"Ada Veil"', 0, 50)
+        backend.fetch('"Bo Quist"', 0, 50)
+        scans = []
+        scan = backend._candidates
+        backend._candidates = lambda phrase: scans.append(phrase) or scan(phrase)
+        assert backend.fetch('"Ada Veil" "Bo Quist"', 0, 50) == records[3:]
+        assert backend.fetch('"Bo Quist" "ADA VEIL"', 0, 50) == records[3:]
+        assert scans == []
+
 
 class TestRegistrableDomain:
     @pytest.mark.parametrize(
