@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Sequence
 
 from .catalog import EntityCatalog, find_entity_matches
-from .engine import BUDGET, Run, RunReport
+from .engine import BUDGET, ENTITY_LIMIT, Run, RunReport
 from .graph import SocialGraph
 from .search import SearchGateway, entity_query, is_queryable_phrase, pair_query
 from .stemming import porter_stem
@@ -275,7 +275,7 @@ def baseline_pairwise(
             if run.ledger.exhausted:
                 return BUDGET
             if max_entities is not None and len(run.steps) >= max_entities:
-                return "entity-limit"
+                return ENTITY_LIMIT
             queryable = is_queryable_phrase(entity)
             snippets = run.search(entity_query(entity)) if queryable else []
             evidence: dict[tuple[str, str], int] = {}

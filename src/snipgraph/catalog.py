@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import IO, Callable, Iterable
 
-from .graph import check_name
+from .graph import check_name, read_text_input
 
 
 class CatalogLoadError(ValueError):
@@ -189,43 +189,27 @@ class EntityCatalog:
 def load_catalog(source: IO[str] | Iterable[str]) -> EntityCatalog:
     """Load one name per line; blanks and normalized duplicates are skipped.
 
-    Undecodable input raises CatalogLoadError naming the byte offset (in a
-    text stream, from the start of the chunk it decoded; `load_catalog_file`
-    counts from the start of the file), and a name that `graph.check_name`
-    refuses one naming the line.
+    A name that `graph.check_name` refuses raises CatalogLoadError naming
+    the line.
     """
     catalog = EntityCatalog()
-    try:
-        for lineno, line in enumerate(source, start=1):
-            try:
-                catalog.add(check_name(line.strip()))
-            except ValueError as exc:
-                raise CatalogLoadError(f"line {lineno}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise CatalogLoadError(
-            f"invalid UTF-8 in catalog input at byte {exc.start}"
-        ) from exc
+    for lineno, line in enumerate(source, start=1):
+        try:
+            catalog.add(check_name(line.strip()))
+        except ValueError as exc:
+            raise CatalogLoadError(f"line {lineno}: {exc}") from exc
     return catalog
 
 
 def load_catalog_file(path: str) -> EntityCatalog:
+    """`load_catalog` of a file; undecodable input raises CatalogLoadError
+    naming the bad byte's offset from the file's first byte."""
     try:
-        with open(path, "r", encoding="utf-8-sig", newline=None) as fh:
-            return load_catalog(fh)
-    except CatalogLoadError as exc:
-        if not isinstance(exc.__cause__, UnicodeDecodeError):
-            raise
-        # the text reader counts from the chunk it decoded; decoding the whole
-        # file counts from its first byte, a BOM included
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as whole:
-            raise CatalogLoadError(
-                f"invalid UTF-8 in catalog input at byte {whole.start}"
-            ) from whole
-        raise
+        return read_text_input(path, load_catalog)
+    except UnicodeDecodeError as exc:
+        raise CatalogLoadError(
+            f"invalid UTF-8 in catalog input at byte {exc.start}"
+        ) from exc
 
 
 def find_entity_matches(

@@ -18,7 +18,7 @@ import math
 import os
 import re
 import sys
-from typing import TypeVar
+from typing import IO, Callable, TypeVar
 
 from .analysis import (
     baseline_pairwise,
@@ -27,7 +27,7 @@ from .analysis import (
     write_histogram_csv,
     write_relations_csv,
 )
-from .catalog import EntityCatalog, load_catalog_file
+from .catalog import EntityCatalog, load_catalog
 from .corpus import synthesize, synthesize_from_edges, write_names_file
 from .engine import (
     MODE_BF,
@@ -42,18 +42,18 @@ from .engine import (
 from .extract import (
     DEFAULT_MATCH_PATTERNS,
     DEFAULT_QUERY_PATTERNS,
-    load_patterns_file,
+    load_patterns,
     save_patterns_file,
     unescape_pattern,
 )
-from .graph import SocialGraph, read_edge_list_file, write_edge_list
+from .graph import SocialGraph, read_edge_list, read_text_input, write_edge_list
 from .search import (
     LiveBackend,
     QueryLogEntry,
     ReplayBackend,
     SearchGateway,
     SnippetCache,
-    load_corpus_file,
+    load_corpus,
     save_corpus_file,
     write_query_log,
 )
@@ -94,14 +94,25 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+T = TypeVar("T")
+
+
+def _read(path: str, what: str, parse: Callable[[IO[str]], T]) -> T:
+    """`parse` of the input file at `path`; a file that cannot be opened or
+    decoded is a ConfigError naming `what` and the file (as OSError does)."""
+    try:
+        return read_text_input(path, parse)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {what}: {path}: {exc}") from exc
+
+
 def load_config_file(path: str) -> dict[str, str]:
     """Flat key=value lines; blank lines and `#` comments are skipped."""
-    data: dict[str, str] = {}
-    try:
-        fh = open(path, "r", encoding="utf-8-sig")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    with fh:
+
+    def parse(fh: IO[str]) -> dict[str, str]:
+        data: dict[str, str] = {}
         for lineno, line in enumerate(fh, start=1):
             raw = line.strip()
             if not raw or raw.startswith("#"):
@@ -113,7 +124,9 @@ def load_config_file(path: str) -> dict[str, str]:
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             data[key] = value.strip()
-    return data
+        return data
+
+    return _read(path, "config file", parse)
 
 
 def _apply_config(args: argparse.Namespace) -> None:
@@ -129,16 +142,9 @@ def _apply_config(args: argparse.Namespace) -> None:
                 raise ConfigError(f"config {key}: bad value {config[key]!r}") from exc
 
 
-T = TypeVar("T")
-
-
 def _read_lines(path: str, what: str) -> list[str]:
-    # lines end where the catalog reader's do: at "\n", "\r" and "\r\n" only
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = [ln.strip() for ln in fh]
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what}: {exc}") from exc
+    """The stripped lines of `path` that are neither blank nor `#` comments."""
+    lines = _read(path, what, lambda fh: [ln.strip() for ln in fh])
     return [ln for ln in lines if ln and not ln.startswith("#")]
 
 
@@ -156,10 +162,7 @@ def _ensure_parent(prefix: str) -> None:
 
 def _load_catalog(args: argparse.Namespace) -> EntityCatalog:
     path = _require(args.catalog, "--catalog")
-    try:
-        catalog = load_catalog_file(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read catalog: {exc}") from exc
+    catalog = _read(path, "catalog", load_catalog)
     if not len(catalog):
         raise ConfigError(f"catalog is empty: {path}")
     return catalog
@@ -178,10 +181,7 @@ def _load_phrases(
 ) -> tuple[str, ...]:
     if path is None:
         return default
-    try:
-        patterns = load_patterns_file(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {flag} file: {exc}") from exc
+    patterns = _read(path, f"{flag} file", load_patterns)
     if not patterns:
         raise ConfigError(f"pattern file is empty: {path}")
     return tuple(patterns)
@@ -192,11 +192,7 @@ def _build_gateway(args: argparse.Namespace) -> SearchGateway:
     cache = SnippetCache(args.cache_dir) if args.cache_dir else None
     if backend_name == "replay":
         corpus = _require(args.corpus, "--corpus")
-        try:
-            backend = ReplayBackend(load_corpus_file(corpus))
-        except OSError as exc:
-            raise ConfigError(f"cannot read corpus: {exc}") from exc
-        return SearchGateway(backend, cache=cache)
+        return SearchGateway(ReplayBackend(_read(corpus, "corpus", load_corpus)), cache=cache)
     if backend_name == "live":
         if not args.live:
             raise ConfigError("live backend requires the --live flag")
@@ -313,10 +309,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        graph = read_edge_list_file(args.graph)
-    except OSError as exc:
-        raise ConfigError(f"cannot read graph: {exc}") from exc
+    graph = _read(args.graph, "graph", read_edge_list)
     prefix = args.output_prefix or os.path.splitext(args.graph)[0]
     _ensure_parent(prefix)
     if args.report == "dist":
@@ -375,7 +368,7 @@ def cmd_make_corpus(args: argparse.Namespace) -> int:
         seed=args.rng_seed,
     )
     if args.edges_file:
-        truth = read_edge_list_file(args.edges_file)
+        truth = _read(args.edges_file, "edges file", read_edge_list)
         corpus = synthesize_from_edges(
             sorted(truth.edges()), sorted(truth.nodes()), **common
         )

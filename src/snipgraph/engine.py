@@ -58,6 +58,7 @@ FRONTIER_EMPTY = "frontier-empty"
 TRANSPORT = "transport-error"
 FIXED_POINT = "fixed-point"
 MAX_ITER = "max-iterations"
+ENTITY_LIMIT = "entity-limit"
 
 
 @dataclass(frozen=True)
@@ -220,7 +221,8 @@ class Run:
         # find_entity_matches results by text; the catalog is fixed for a run
         self.spotted: dict[str, list[tuple[str, int, int]]] = {}
         self.steps: list[StepRecord] = []
-        # filled by pattern-mining runs; a baseline run has neither
+        # iterations are filled by pattern-mining runs; match_patterns by
+        # every engine run (`_Run`); a baseline run has neither
         self.iterations: list[IterationRecord] = []
         self.match_patterns: list[str] = []
 
@@ -422,7 +424,7 @@ def expand_with_pattern_mining(
 
     A round that admits no new pattern is a fixed point (the next round
     could not issue any new connectivity query), so the run stops early.
-    With max_iterations=1 the produced graph matches expand_static under
+    With max_iterations=1 the graph matches expand_static in mode bf under
     the same configuration; the mining pass only spends extra pair queries.
     """
     if config.mode != MODE_PATTERN_ITER:

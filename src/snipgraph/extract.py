@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .catalog import EntityCatalog, find_entity_matches
+from .graph import read_text_input
 from .search import CorpusRecord
 
 # The single-space pattern: connects names separated by whitespace only.
@@ -87,14 +88,17 @@ def load_patterns(source: IO[str] | Iterable[str]) -> list[str]:
 
 
 def load_patterns_file(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return load_patterns(fh)
+    return read_text_input(path, load_patterns)
 
 
 def save_patterns(patterns: Iterable[str], fh: IO[str]) -> None:
-    # leading/trailing spaces go out escaped so they survive editors
+    # leading/trailing spaces go out escaped so they survive editors; a line
+    # load_patterns would skip (blank, `#`) gains a `\s` that the key drops
     for phrase in patterns:
-        fh.write(_escape_pattern(phrase) + "\n")
+        line = _escape_pattern(phrase)
+        if not line.strip() or line.lstrip().startswith("#"):
+            line = SPACE_ESCAPE + line
+        fh.write(line + "\n")
 
 
 def save_patterns_file(patterns: Iterable[str], path: str) -> None:

@@ -6,7 +6,9 @@ counts. Merge and threshold behavior live here.
 
 from __future__ import annotations
 
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Callable, Iterable, Iterator, Mapping, TypeVar
+
+T = TypeVar("T")
 
 
 class EdgeListError(ValueError):
@@ -103,6 +105,20 @@ def check_name(name: str) -> str:
     return name
 
 
+def read_text_input(path: str, parse: Callable[[IO[str]], T]) -> T:
+    """`parse` of the text file at `path`, streamed as UTF-8 without a leading
+    BOM, in lines that end at LF, CR or CR LF. UnicodeDecodeError gives a bad
+    byte's offset from the file's first byte, a BOM included: the text reader
+    counts from the chunk it decoded, so only then is the file read whole."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return parse(fh)
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            fh.read().decode("utf-8")
+        raise
+
+
 def write_edge_list(graph: SocialGraph, fh: IO[str]) -> None:
     """Tab-separated `a<TAB>b<TAB>weight` lines, sorted by name pair."""
     for a, b, w in sorted(graph.edges()):
@@ -132,8 +148,7 @@ def read_edge_list(source: IO[str] | Iterable[str]) -> SocialGraph:
 
 
 def read_edge_list_file(path: str) -> SocialGraph:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return read_edge_list(fh)
+    return read_text_input(path, read_edge_list)
 
 
 def write_graphml(graph: SocialGraph, path: str) -> None:

@@ -22,6 +22,7 @@ from typing import IO, Any, Callable, Iterable, NamedTuple, Protocol
 from urllib.parse import urlparse
 
 from .catalog import fold_text, folded_phrase_test, normalize_name, text_runs
+from .graph import read_text_input
 
 PAGE_SIZE = 50
 
@@ -80,7 +81,7 @@ def validate_query_text(text: str) -> str:
 
 @dataclass(frozen=True)
 class Query:
-    """A raw query string plus its kind (connectivity or pair)."""
+    """A raw query string plus its kind (connectivity, pair or entity)."""
 
     raw: str
     kind: str
@@ -208,8 +209,7 @@ def load_corpus(source: IO[str] | Iterable[str]) -> list[CorpusRecord]:
 
 
 def load_corpus_file(path: str) -> list[CorpusRecord]:
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        return load_corpus(fh)
+    return read_text_input(path, load_corpus)
 
 
 def save_corpus(records: Iterable[CorpusRecord], fh: IO[str]) -> None:

@@ -1,9 +1,11 @@
 """Text inputs saved with a UTF-8 byte order mark read as they do without."""
 
+import re
+
 import pytest
 
 from snipgraph.catalog import load_catalog_file
-from snipgraph.cli import _read_lines, load_config_file, main
+from snipgraph.cli import ConfigError, _read_lines, load_config_file, main
 from snipgraph.extract import load_patterns_file
 from snipgraph.graph import read_edge_list_file
 from snipgraph.search import load_corpus_file, save_corpus_file
@@ -54,6 +56,19 @@ def test_a_bom_is_not_part_of_the_first_line(reader, tmp_path):
     marked = view(load(write(tmp_path / "marked", text, bom=True)))
     assert marked == plain
     assert BOM not in repr(marked)
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_a_bad_byte_is_reported_at_its_offset_in_the_file(reader, tmp_path):
+    load, text, _view = READERS[reader]
+    # past the text reader's first 8 KiB chunk, from which it counts
+    data = (BOM + text + "\n" * 9000).encode("utf-8") + b"Ada \xffVeil\n"
+    offset = data.index(b"\xff")
+    path = tmp_path / "bad"
+    path.write_bytes(data)
+    with pytest.raises((ValueError, ConfigError)) as info:
+        load(str(path))
+    assert re.search(rf"(position|byte) {offset}\b", str(info.value))
 
 
 def test_extract_with_bom_inputs_writes_the_plain_run_edges(tmp_path):

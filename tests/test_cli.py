@@ -1,6 +1,7 @@
 """End-to-end CLI runs, config resolution, and error-path exit codes."""
 
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -504,6 +505,36 @@ class TestErrorPaths:
         args = base_args(workspace) + [flag, str(workspace / "absent.txt")]
         assert main(args) == 1
         assert f"cannot read {kind}:" in capsys.readouterr().err
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, kind",
+        [
+            ("extract", "--seeds", "seeds file"),
+            ("extract", "--catalog", "catalog"),
+            ("extract", "--patterns", "--patterns file"),
+            ("extract", "--match-patterns", "--match-patterns file"),
+            ("extract", "--corpus", "corpus"),
+            ("extract", "--config", "config file"),
+            ("analyze", "--graph", "graph"),
+            ("make-corpus", "--edges-file", "edges file"),
+        ],
+    )
+    def test_bad_byte_is_reported_at_its_file_offset(
+        self, workspace, capsys, command, flag, kind
+    ):
+        # past the text reader's first 8 KiB chunk, from which it counts;
+        # every one of these formats skips blank lines
+        bad = workspace / "bad.txt"
+        bad.write_bytes(b"\n" * 9000 + b"Ada \xffVeil\n")
+        if command == "extract":
+            args = base_args(workspace)
+        else:
+            args = [command, "--output-prefix", str(workspace / "out/run")]
+        assert main(args + [flag, str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert kind in err
+        assert re.search(r"\b9004\b", err)
         assert not (workspace / "out").exists()
 
     @pytest.mark.parametrize("sep", ["\u2028", "\x0c"])

@@ -2,6 +2,9 @@
 
 import io
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import snipgraph.extract
 from snipgraph.extract import (
     DEFAULT_MATCH_PATTERNS,
@@ -16,8 +19,11 @@ from snipgraph.extract import (
     pattern_key,
     save_patterns,
 )
+from snipgraph.search import connectivity_query
 
 from conftest import make_snippet
+
+LINE_TEXT = st.text(st.characters(exclude_characters="\n\r"))
 
 
 class TestPatternKey:
@@ -63,6 +69,35 @@ class TestPatternFiles:
     def test_duplicate_keys_dropped(self):
         back = load_patterns(["and\n", " and \n"])
         assert back == ["and"]
+
+    def test_phrase_that_would_read_as_a_comment_goes_out_behind_a_space(self):
+        buf = io.StringIO()
+        save_patterns(["#with", "and", " # x", "\t"], buf)
+        assert buf.getvalue() == "\\s#with\nand\n\\s# x\n\\s\t\n"
+        back = load_patterns(io.StringIO(buf.getvalue()))
+        assert back == [" #with", "and", " # x", " \t"]
+        assert pattern_key(back[0]) == pattern_key("#with")
+        assert connectivity_query("Ada Veil", back[0]) == connectivity_query("Ada Veil", "#with")
+
+    # a line break inside a phrase would end its line, so none is drawn
+    @given(
+        st.lists(
+            st.one_of(
+                LINE_TEXT,
+                LINE_TEXT.map(lambda t: "#" + t),
+                st.text(st.sampled_from(" \t#\\sw")),
+            ),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_pattern_keys_survive_the_file_round_trip(self, phrases):
+        buf = io.StringIO()
+        save_patterns(phrases, buf)
+        back = load_patterns(io.StringIO(buf.getvalue()))
+        assert [pattern_key(p) for p in back] == [
+            pattern_key(p) for p in dedupe_patterns(phrases)
+        ]
 
 
 ALL_PATTERNS = list(DEFAULT_MATCH_PATTERNS)
