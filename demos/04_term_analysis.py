@@ -6,16 +6,12 @@ phrase family capture? For the second we stem the phrase vocabulary into
 terms, tally term counts per relation category, and rank terms by
 pointwise mutual information with each category. Terms with high MI are
 the ones that tell the categories apart; shared filler scores near zero.
+The term statistics live beside this script, in terms.py.
 """
 
-from snipgraph.analysis import (
-    build_term_category_table,
-    mutual_information,
-    summarize,
-    top_relations,
-    top_terms,
-)
+from snipgraph.analysis import summarize, top_relations
 from snipgraph.corpus import synthesize
+from terms import build_term_category_table, mutual_information, top_terms
 
 # --- shape of an extracted graph -------------------------------------------
 

@@ -1,11 +1,19 @@
-"""Porter's suffix-stripping stemmer (the classic 1980 five-step version).
+"""Term statistics for demo 04: which stemmed terms tell relation
+categories apart.
 
-Implemented here because no stemming package is available on the index this
+Porter's suffix-stripping stemmer (the classic 1980 five-step version) is
+implemented here because no stemming package is available on the index this
 project builds against. Words of length 1 or 2 are returned unchanged; input
-is casefolded first.
+is casefolded first. Phrases are stemmed into a term/category count table,
+and each cell is ranked by pointwise mutual information within its category.
 """
 
 from __future__ import annotations
+
+import math
+import re
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping
 
 _VOWELS = "aeiou"
 
@@ -222,3 +230,113 @@ def porter_stem(word: str) -> str:
     w = _step5a(w)
     w = _step5b(w)
     return w
+
+
+# --- term/category mutual information -------------------------------------
+
+_WORD = re.compile(r"[^\W\d_]+")
+
+
+def tokenize_terms(phrase: str) -> list[str]:
+    """Stemmed alphabetic tokens of a pattern phrase."""
+    return [porter_stem(tok) for tok in _WORD.findall(phrase)]
+
+
+@dataclass
+class TermCategoryTable:
+    """Co-occurrence counts between stemmed terms and categories."""
+
+    counts: dict[tuple[str, str], int] = field(default_factory=dict)
+    categories: list[str] = field(default_factory=list)
+
+    def add(self, term: str, category: str, count: int = 1) -> None:
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        if category not in self.categories:
+            self.categories.append(category)
+        key = (term, category)
+        self.counts[key] = self.counts.get(key, 0) + count
+
+    def count(self, term: str, category: str) -> int:
+        return self.counts.get((term, category), 0)
+
+    def term_total(self, term: str) -> int:
+        return sum(self.count(term, c) for c in self.categories)
+
+    @property
+    def terms(self) -> list[str]:
+        seen: dict[str, None] = {}
+        for term, _category in self.counts:
+            seen.setdefault(term)
+        return list(seen)
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
+
+
+def build_term_category_table(
+    phrases_by_category: Mapping[str, Iterable[str | tuple[str, int]]],
+) -> TermCategoryTable:
+    """Tokenize and stem each category's phrases into a count table.
+
+    Phrases may carry an occurrence count as (phrase, count); bare phrases
+    count once per token occurrence.
+    """
+    table = TermCategoryTable()
+    for category, phrases in phrases_by_category.items():
+        if category not in table.categories:
+            table.categories.append(category)
+        for item in phrases:
+            phrase, weight = item if isinstance(item, tuple) else (item, 1)
+            for term in tokenize_terms(phrase):
+                table.add(term, category, weight)
+    return table
+
+
+def mutual_information(
+    table: TermCategoryTable, smoothing: float = 1.0
+) -> list[tuple[str, str, float]]:
+    """Pointwise MI of each (term, category) cell, ranked within category.
+
+    score = ln(P(term, category) / (P(term) * P(category))) over the table
+    smoothed by adding `smoothing` to every cell. Terms with no occurrences
+    in any category are excluded. The result lists categories in table
+    order, each ranked by descending score with ties on the term.
+    """
+    if not 0 <= smoothing < math.inf:
+        raise ValueError("smoothing must be >= 0 and finite")
+    terms = [t for t in table.terms if table.term_total(t) > 0]
+    categories = list(table.categories)
+    if not terms or not categories:
+        return []
+    cells = {
+        (t, c): table.count(t, c) + smoothing for t in terms for c in categories
+    }
+    total = sum(cells.values())
+    term_mass = {t: sum(cells[t, c] for c in categories) for t in terms}
+    cat_mass = {c: sum(cells[t, c] for t in terms) for c in categories}
+    ranked: list[tuple[str, str, float]] = []
+    for category in categories:
+        scored = []
+        for term in terms:
+            joint = cells[term, category]
+            if joint == 0:
+                score = float("-inf")
+            else:
+                score = math.log(
+                    (joint / total)
+                    / ((term_mass[term] / total) * (cat_mass[category] / total))
+                )
+            scored.append((term, category, score))
+        scored.sort(key=lambda row: (-row[2], row[0]))
+        ranked.extend(scored)
+    return ranked
+
+
+def top_terms(
+    ranked: Iterable[tuple[str, str, float]], category: str, n: int
+) -> list[tuple[str, float]]:
+    """First n (term, score) rows of one category from a ranked MI list."""
+    out = [(t, s) for t, c, s in ranked if c == category]
+    return out[:n]

@@ -309,6 +309,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.top < 1:
+        raise ConfigError("--top must be >= 1")
     graph = _read(args.graph, "graph", read_edge_list)
     prefix = args.output_prefix or os.path.splitext(args.graph)[0]
     _ensure_parent(prefix)

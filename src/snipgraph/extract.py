@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .catalog import EntityCatalog, find_entity_matches
-from .graph import read_text_input
 from .search import CorpusRecord
 
 # The single-space pattern: connects names separated by whitespace only.
@@ -85,10 +84,6 @@ def load_patterns(source: IO[str] | Iterable[str]) -> list[str]:
             continue
         patterns.append(unescape_pattern(raw))
     return dedupe_patterns(patterns)
-
-
-def load_patterns_file(path: str) -> list[str]:
-    return read_text_input(path, load_patterns)
 
 
 def save_patterns(patterns: Iterable[str], fh: IO[str]) -> None:

@@ -147,10 +147,6 @@ def read_edge_list(source: IO[str] | Iterable[str]) -> SocialGraph:
     return graph
 
 
-def read_edge_list_file(path: str) -> SocialGraph:
-    return read_text_input(path, read_edge_list)
-
-
 def write_graphml(graph: SocialGraph, path: str) -> None:
     """GraphML via networkx, installed with the `graphml` extra."""
     import networkx as nx

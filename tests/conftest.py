@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,20 @@ from snipgraph.catalog import EntityCatalog, find_entity_matches
 from snipgraph.search import CorpusRecord, ReplayBackend, SearchGateway
 
 NAMES = ("Ada Veil", "Bo Quist", "Cy Marsh", "Dee Falk", "Eli Gorst", "Fay Brant")
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def load_demo_module(name):
+    """The module `demos/<name>.py`, imported by path once per session."""
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, DEMOS / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        # @dataclass looks the class's module up in sys.modules while it runs
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 def make_catalog(names=NAMES):

@@ -12,12 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from snipgraph.analysis import (
-    baseline_pairwise,
-    mutual_information,
-    summarize,
-    summarize_values,
-)
+from snipgraph.analysis import baseline_pairwise, summarize, summarize_values
 from snipgraph.catalog import EntityCatalog
 from snipgraph.cli import main
 from snipgraph.corpus import make_names, synthesize, synthesize_from_edges
@@ -38,10 +33,10 @@ from snipgraph.frontier import (
     FrontierEntry,
     compute_priority,
 )
-from snipgraph.graph import SocialGraph, read_edge_list, read_edge_list_file, write_edge_list
+from snipgraph.graph import SocialGraph, read_edge_list, read_text_input, write_edge_list
 from snipgraph.search import ReplayBackend, SearchGateway, save_corpus_file
 
-from conftest import CorpusBuilder
+from conftest import CorpusBuilder, load_demo_module
 
 
 @pytest.fixture
@@ -154,7 +149,7 @@ def test_01_oracle_equivalence(big_corpus, verdict):
         big_corpus["records"], big_corpus["names"], big_corpus["seed"]
     )
     got = {
-        (a, b) for a, b, _w in read_edge_list_file(prefix + ".edges").edges()
+        (a, b) for a, b, _w in read_text_input(prefix + ".edges", read_edge_list).edges()
     }
     failures = []
     if rc != 0:
@@ -480,7 +475,8 @@ def test_09_distribution_summaries(verdict):
 
 
 def test_10_mutual_information(verdict):
-    from snipgraph.analysis import TermCategoryTable
+    terms = load_demo_module("terms")
+    TermCategoryTable, mutual_information = terms.TermCategoryTable, terms.mutual_information
 
     def square(scale=1):
         table = TermCategoryTable()

@@ -5,9 +5,9 @@ import re
 import pytest
 
 from snipgraph.catalog import load_catalog_file
-from snipgraph.cli import ConfigError, _read_lines, load_config_file, main
-from snipgraph.extract import load_patterns_file
-from snipgraph.graph import read_edge_list_file
+from snipgraph.cli import ConfigError, _read, _read_lines, load_config_file, main
+from snipgraph.extract import load_patterns
+from snipgraph.graph import read_edge_list
 from snipgraph.search import load_corpus_file, save_corpus_file
 
 from conftest import NAMES, CorpusBuilder
@@ -35,9 +35,13 @@ READERS = {
         f"{A}\n# a comment\n{B}\n",
         lambda lines: lines,
     ),
-    "patterns": (load_patterns_file, "and\nwith\n", lambda patterns: patterns),
+    "patterns": (
+        lambda path: _read(path, "patterns file", load_patterns),
+        "and\nwith\n",
+        lambda patterns: patterns,
+    ),
     "edge list": (
-        read_edge_list_file,
+        lambda path: _read(path, "graph", read_edge_list),
         f"{A}\t{B}\t2\n{B}\t{C}\t3\n",
         lambda graph: (list(graph.nodes()), list(graph.edges())),
     ),

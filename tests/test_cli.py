@@ -18,8 +18,8 @@ from snipgraph.cli import (
     load_config_file,
     main,
 )
-from snipgraph.extract import load_patterns_file
-from snipgraph.graph import read_edge_list_file
+from snipgraph.extract import load_patterns
+from snipgraph.graph import read_edge_list, read_text_input
 from snipgraph.search import (
     LiveBackend,
     SearchGateway,
@@ -70,7 +70,7 @@ class TestExtractCommand:
         prefix = str(workspace / "out/run")
         assert f"wrote {prefix}.edges (2 edges, 3 nodes)" in out
         assert f"wrote {prefix}.trace.csv (3 steps)" in out
-        graph = read_edge_list_file(prefix + ".edges")
+        graph = read_text_input(prefix + ".edges", read_edge_list)
         assert sorted(graph.edges()) == [(A, B, 4), (B, C, 4)]
         assert (workspace / "out/run.summary.txt").read_text() == (
             "status: complete\n"
@@ -110,7 +110,7 @@ class TestExtractCommand:
         write_lines(workspace / "patterns.txt", ["duets with"])
         args = base_args(workspace) + ["--patterns", str(workspace / "patterns.txt")]
         assert main(args) == 0
-        graph = read_edge_list_file(str(workspace / "out/run.edges"))
+        graph = read_text_input(str(workspace / "out/run.edges"), read_edge_list)
         assert sorted(graph.edges()) == [(A, B, 4)]
 
     def test_empty_patterns_file(self, workspace, capsys):
@@ -132,7 +132,7 @@ class TestMinePatterns:
     def test_writes_pattern_file(self, mining_workspace, capsys):
         ws = mining_workspace
         assert main(base_args(ws, command="mine-patterns")) == 0
-        patterns = load_patterns_file(str(ws / "out/run.patterns.txt"))
+        patterns = read_text_input(str(ws / "out/run.patterns.txt"), load_patterns)
         assert "beside" in patterns
         summary = (ws / "out/run.summary.txt").read_text()
         assert "mode: pattern-iter\n" in summary
@@ -189,7 +189,7 @@ class TestBaselineCommand:
         builder.add(f"{A} with {B} again")
         save_corpus_file(builder.records, str(workspace / "corpus.tsv"))
         assert main(base_args(workspace, command="baseline")) == 0
-        graph = read_edge_list_file(str(workspace / "out/run.edges"))
+        graph = read_text_input(str(workspace / "out/run.edges"), read_edge_list)
         assert sorted(graph.edges()) == [(A, B, 2)]
         summary = (workspace / "out/run.summary.txt").read_text()
         assert "mode: baseline\n" in summary
@@ -236,7 +236,7 @@ class TestMakeCorpus:
         assert "snippets)" in out and "names)" in out and "edges)" in out
         names = (tmp_path / "c/c1.names.txt").read_text().splitlines()
         assert len(names) == 8
-        truth = read_edge_list_file(prefix + ".truth.edges")
+        truth = read_text_input(prefix + ".truth.edges", read_edge_list)
         assert truth.edge_count > 0
 
     def test_generated_corpus_feeds_extract(self, tmp_path):
@@ -252,8 +252,8 @@ class TestMakeCorpus:
             "--output-prefix", str(tmp_path / "run"),
         ])
         assert rc == 0
-        graph = read_edge_list_file(str(tmp_path / "run.edges"))
-        truth = read_edge_list_file(prefix + ".truth.edges")
+        graph = read_text_input(str(tmp_path / "run.edges"), read_edge_list)
+        truth = read_text_input(prefix + ".truth.edges", read_edge_list)
         assert sorted((a, b) for a, b, _w in graph.edges()) == sorted(
             (a, b) for a, b, _w in truth.edges()
         )
@@ -264,7 +264,7 @@ class TestMakeCorpus:
         prefix = str(tmp_path / "c2")
         args = ["make-corpus", "--output-prefix", prefix, "--edges-file", str(edges_path)]
         assert main(args) == 0
-        truth = read_edge_list_file(prefix + ".truth.edges")
+        truth = read_text_input(prefix + ".truth.edges", read_edge_list)
         assert sorted(truth.edges()) == [(A, B, 2), (B, C, 3)]
         names = (tmp_path / "c2.names.txt").read_text().splitlines()
         assert names == sorted([A, B, C])
@@ -381,6 +381,18 @@ class TestAnalyzeCommand:
     def test_missing_graph(self, tmp_path, capsys):
         assert main(["analyze", "--graph", str(tmp_path / "nope.edges")]) == 1
         assert "cannot read graph:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("top", ["0", "-3"])
+    def test_rejects_top_below_one(self, graph_file, tmp_path, capsys, top):
+        prefix = tmp_path / "new" / "report"
+        args = [
+            "analyze", "--graph", str(graph_file),
+            "--report", "top", "--top", top,
+            "--output-prefix", str(prefix),
+        ]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: --top must be >= 1\n"
+        assert not prefix.parent.exists()
 
 
 class TestConfigResolution:
@@ -625,6 +637,24 @@ class TestReadmeQuickStart:
                 continue
             assert main(argv[1:]) == 0
             assert capsys.readouterr().out.splitlines() == expected
+
+
+class TestReadmeLibraryUse:
+    README = TestReadmeQuickStart.README
+
+    def test_example_runs_on_the_quick_start_corpus(self, tmp_path, monkeypatch, capsys):
+        text = self.README.read_text(encoding="utf-8")
+        code = text.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(tmp_path)
+        argv = ["make-corpus", "--output-prefix", "demo", "--nodes", "30", "--rng-seed", "5"]
+        assert main(argv) == 0
+        names = Path("demo.names.txt")
+        names.write_text("\ufeff" + names.read_text(encoding="utf-8"), encoding="utf-8")
+        capsys.readouterr()
+        exec(compile(code, "README.md", "exec"), {})
+        *edges, last = capsys.readouterr().out.splitlines()
+        assert len(edges) == 10
+        assert last == "frontier-empty 30"
 
 
 class TestLiveGuards:

@@ -1,5 +1,6 @@
-"""Every demo script runs to completion against the package sources and
-prints exactly its committed output in tests/demo_outputs/<script stem>.txt."""
+"""Every demo script (demos/<n>_*.py; other modules there are the demos'
+helpers) runs to completion against the package sources and prints exactly
+its committed output in tests/demo_outputs/<script stem>.txt."""
 
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("[0-9]*.py"))
 EXPECTED = Path(__file__).resolve().parent / "demo_outputs"
 
 

@@ -1,8 +1,10 @@
-"""Stemmer behavior on the classic reference vocabulary."""
+"""Stemmer behavior (demos/terms.py) on the classic reference vocabulary."""
 
 import pytest
 
-from snipgraph.stemming import porter_stem
+from conftest import load_demo_module
+
+porter_stem = load_demo_module("terms").porter_stem
 
 CASES = [
     ("caresses", "caress"),
