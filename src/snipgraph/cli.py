@@ -5,10 +5,12 @@ pattern bootstrapping), baseline (pairwise co-occurrence), analyze
 (distributions and top relations of a saved graph), make-corpus (synthetic
 replay corpora with ground truth).
 
-Each run option resolves as flag over config file over default; the config
-file is flat key=value text. Exit status: 0 on success (budget exhaustion
-included), 1 on configuration errors, 2 on aborted runs, whose partial
-outputs are still written.
+Each run option of extract, mine-patterns and baseline is one entry of the
+option tables below, which give both its flag and its config file key. It
+resolves as flag over config file over the default of the code that uses
+it; the config file is flat key=value text. Exit status: 0 on success
+(budget exhaustion included), 1 on configuration errors, 2 on aborted runs,
+whose partial outputs are still written.
 """
 
 from __future__ import annotations
@@ -32,20 +34,13 @@ from .corpus import synthesize, synthesize_from_edges, write_names_file
 from .engine import (
     MODE_BF,
     MODE_PATTERN_ITER,
-    MODES,
     RunConfig,
     RunReport,
     expand_static,
     expand_with_pattern_mining,
     write_trace_csv,
 )
-from .extract import (
-    DEFAULT_MATCH_PATTERNS,
-    DEFAULT_QUERY_PATTERNS,
-    load_patterns,
-    save_patterns_file,
-    unescape_pattern,
-)
+from .extract import load_patterns, save_patterns_file, unescape_pattern
 from .graph import SocialGraph, read_edge_list, read_text_input, write_edge_list
 from .search import (
     LiveBackend,
@@ -60,28 +55,41 @@ from .search import (
 
 API_KEY_ENV = "SEARCH_API_KEY"
 
-# config file key -> type of its value. A flag is its key in kebab case,
-# except that the four file keys drop "_file": --seeds, --catalog, --patterns,
-# --match-patterns. A new run option is its flag plus one entry here.
+# The run options, one table per command group: config key -> (type, help).
+# Each is the flag --<key in kebab case> with the key as its dest, except that
+# the four file keys drop "_file" from both: --seeds, --catalog, --patterns,
+# --match-patterns. Every flag defaults to None, so an option no flag sets
+# takes its config value, else the default where the value is used
+# (RunConfig, baseline_pairwise). A new run option is one entry here plus the
+# field that uses it; --config and --live are the two flags no file may set.
+_SHARED_OPTIONS: dict[str, tuple[type, str]] = {
+    "seeds_file": (str, "seed entities, one per line"),
+    "catalog_file": (str, "known entity names, one per line"),
+    "backend": (str, "replay (the default) or live"),
+    "corpus": (str, "replay snippet corpus (TSV)"),
+    "cache_dir": (str, "directory of cached search results, reused across runs"),
+    "output_prefix": (str, "path prefix of the output files"),
+    "k": (int, "results requested per query"),
+    "max_requests": (int, "request budget; unlimited when unset"),
+}
+_EXTRACT_OPTIONS: dict[str, tuple[type, str]] = {
+    "mode": (str, "bf, prio or pattern-iter"),
+    "patterns_file": (str, "query patterns, one per line"),
+    "match_patterns_file": (str, "snippet-matching patterns, one per line"),
+    "tau": (int, "min evidence for a new edge"),
+    "sigma": (int, "pattern admission threshold"),
+    "alpha": (float, "priority decay rate"),
+    "h": (int, "edges pair-queried per mining pass"),
+    "max_iterations": (int, "pattern-mining passes at most"),
+}
+_BASELINE_OPTIONS: dict[str, tuple[type, str]] = {
+    "threshold": (float, "overlap threshold in (0, 1)"),
+    "max_entities": (int, "entities expanded at most"),
+}
 CONFIG_KEYS: dict[str, type] = {
-    "seeds_file": str,
-    "patterns_file": str,
-    "match_patterns_file": str,
-    "catalog_file": str,
-    "tau": int,
-    "sigma": int,
-    "alpha": float,
-    "h": int,
-    "k": int,
-    "max_requests": int,
-    "max_iterations": int,
-    "mode": str,
-    "backend": str,
-    "corpus": str,
-    "cache_dir": str,
-    "output_prefix": str,
-    "threshold": float,
-    "max_entities": int,
+    key: cast
+    for table in (_SHARED_OPTIONS, _EXTRACT_OPTIONS, _BASELINE_OPTIONS)
+    for key, (cast, _help) in table.items()
 }
 
 
@@ -176,11 +184,7 @@ def _load_seeds(args: argparse.Namespace) -> tuple[str, ...]:
     return seeds
 
 
-def _load_phrases(
-    path: str | None, flag: str, default: tuple[str, ...]
-) -> tuple[str, ...]:
-    if path is None:
-        return default
+def _load_phrases(path: str, flag: str) -> tuple[str, ...]:
     patterns = _read(path, f"{flag} file", load_patterns)
     if not patterns:
         raise ConfigError(f"pattern file is empty: {path}")
@@ -210,13 +214,19 @@ def _given(args: argparse.Namespace, *dests: str) -> dict[str, object]:
 
 
 def _build_run_config(args: argparse.Namespace, default_mode: str) -> RunConfig:
+    seeds = _load_seeds(args)
+    phrases = {
+        field: _load_phrases(path, flag)
+        for field, path, flag in (
+            ("query_patterns", args.patterns, "--patterns"),
+            ("match_patterns", args.match_patterns, "--match-patterns"),
+        )
+        if path is not None
+    }
     run_config = RunConfig(
-        seeds=_load_seeds(args),
-        query_patterns=_load_phrases(args.patterns, "--patterns", DEFAULT_QUERY_PATTERNS),
-        match_patterns=_load_phrases(
-            args.match_patterns, "--match-patterns", DEFAULT_MATCH_PATTERNS
-        ),
+        seeds=seeds,
         mode=default_mode if args.mode is None else args.mode,
+        **phrases,
         **_given(args, "tau", "sigma", "alpha", "h", "k", "max_requests", "max_iterations"),
     )
     run_config.validate()
@@ -362,27 +372,17 @@ def _parse_pattern_args(values: list[str]) -> dict[str, float]:
 
 def cmd_make_corpus(args: argparse.Namespace) -> int:
     prefix = _require(args.output_prefix, "--output-prefix")
-    patterns = _parse_pattern_args(args.pattern or ["and"])
-    common = dict(
-        patterns=patterns,
-        noise_ratio=args.noise_ratio,
-        domains=args.domains,
-        seed=args.rng_seed,
-    )
+    common = _given(args, "noise_ratio", "domains", "seed")
+    if args.pattern:
+        common["patterns"] = _parse_pattern_args(args.pattern)
     if args.edges_file:
         truth = _read(args.edges_file, "edges file", read_edge_list)
         corpus = synthesize_from_edges(
             sorted(truth.edges()), sorted(truth.nodes()), **common
         )
     else:
-        corpus = synthesize(
-            n_nodes=args.nodes,
-            attach=args.attach,
-            exponent=args.exponent,
-            weight_low=args.weight_low,
-            weight_high=args.weight_high,
-            **common,
-        )
+        shape = _given(args, "n_nodes", "attach", "exponent", "weight_low", "weight_high")
+        corpus = synthesize(**shape, **common)
     _ensure_parent(prefix)
     save_corpus_file(corpus.records, prefix + ".corpus.tsv")
     write_names_file(corpus.names, prefix + ".names.txt")
@@ -394,36 +394,6 @@ def cmd_make_corpus(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE", help="flat key=value config file")
-    parser.add_argument("--seeds", metavar="FILE", help="seed entities, one per line")
-    parser.add_argument("--catalog", metavar="FILE", help="known entity names, one per line")
-    parser.add_argument("--backend", choices=["replay", "live"])
-    parser.add_argument("--corpus", metavar="FILE", help="replay snippet corpus (TSV)")
-    parser.add_argument("--cache-dir", dest="cache_dir", metavar="DIR")
-    parser.add_argument("--output-prefix", dest="output_prefix", metavar="PREFIX")
-    parser.add_argument("--k", type=int, help="results requested per query")
-    parser.add_argument("--max-requests", dest="max_requests", type=int)
-    parser.add_argument(
-        "--live", action="store_true", help="allow spending live API quota"
-    )
-
-
-def _add_extract_flags(parser: argparse.ArgumentParser) -> None:
-    _add_run_flags(parser)
-    parser.add_argument("--mode", choices=list(MODES))
-    parser.add_argument("--patterns", metavar="FILE", help="query patterns, one per line")
-    parser.add_argument(
-        "--match-patterns", dest="match_patterns", metavar="FILE",
-        help="snippet-matching patterns, one per line",
-    )
-    parser.add_argument("--tau", type=int, help="min evidence for a new edge")
-    parser.add_argument("--sigma", type=int, help="pattern admission threshold")
-    parser.add_argument("--alpha", type=float, help="priority decay rate")
-    parser.add_argument("--h", type=int, help="edges pair-queried per mining pass")
-    parser.add_argument("--max-iterations", dest="max_iterations", type=int)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="snipgraph",
@@ -432,27 +402,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_extract = sub.add_parser(
-        "extract", help="grow a graph from seeds", allow_abbrev=False
-    )
-    _add_extract_flags(p_extract)
-    p_extract.set_defaults(func=cmd_extract)
-
-    p_mine = sub.add_parser(
-        "mine-patterns",
-        help="grow a graph while bootstrapping new patterns",
-        allow_abbrev=False,
-    )
-    _add_extract_flags(p_mine)
-    p_mine.set_defaults(func=cmd_extract)
-
-    p_base = sub.add_parser(
-        "baseline", help="pairwise co-occurrence baseline", allow_abbrev=False
-    )
-    _add_run_flags(p_base)
-    p_base.add_argument("--threshold", type=float, help="overlap threshold in (0, 1)")
-    p_base.add_argument("--max-entities", dest="max_entities", type=int)
-    p_base.set_defaults(func=cmd_baseline)
+    for name, func, help_text, table in (
+        ("extract", cmd_extract, "grow a graph from seeds", _EXTRACT_OPTIONS),
+        (
+            "mine-patterns", cmd_extract,
+            "grow a graph while bootstrapping new patterns", _EXTRACT_OPTIONS,
+        ),
+        ("baseline", cmd_baseline, "pairwise co-occurrence baseline", _BASELINE_OPTIONS),
+    ):
+        p_run = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p_run.add_argument("--config", metavar="FILE", help="flat key=value config file")
+        p_run.add_argument(
+            "--live", action="store_true", help="allow spending live API quota"
+        )
+        for key, (cast, meaning) in {**_SHARED_OPTIONS, **table}.items():
+            dest = key.removesuffix("_file")
+            p_run.add_argument(
+                "--" + dest.replace("_", "-"), dest=dest, type=cast, help=meaning,
+                metavar="FILE" if dest != key else None,
+            )
+        p_run.set_defaults(func=func)
 
     p_analyze = sub.add_parser(
         "analyze", help="distributions and top relations of a saved graph",
@@ -467,25 +436,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_corpus = sub.add_parser(
         "make-corpus", help="generate a synthetic replay corpus", allow_abbrev=False
     )
-    p_corpus.add_argument("--output-prefix", dest="output_prefix", metavar="PREFIX")
-    p_corpus.add_argument("--nodes", type=int, default=30)
-    p_corpus.add_argument("--attach", type=int, default=2)
     p_corpus.add_argument(
-        "--exponent", type=float, default=1.0, help="preferential-attachment exponent"
+        "--output-prefix", metavar="PREFIX", help="path prefix of the output files"
     )
+    p_corpus.add_argument("--nodes", dest="n_nodes", type=int, help="names in the graph")
+    p_corpus.add_argument("--attach", type=int, help="edges each new node attaches")
+    p_corpus.add_argument("--exponent", type=float, help="preferential-attachment exponent")
     p_corpus.add_argument(
-        "--edges-file", dest="edges_file", metavar="FILE",
+        "--edges-file", metavar="FILE",
         help="plant this explicit edge list instead of generating one",
     )
     p_corpus.add_argument(
         "--pattern", action="append", metavar="PHRASE[=WEIGHT]",
         help="pattern to embed; repeatable",
     )
-    p_corpus.add_argument("--noise-ratio", dest="noise_ratio", type=float, default=0.0)
-    p_corpus.add_argument("--domains", type=int, default=12)
-    p_corpus.add_argument("--weight-low", dest="weight_low", type=int, default=2)
-    p_corpus.add_argument("--weight-high", dest="weight_high", type=int, default=4)
-    p_corpus.add_argument("--rng-seed", dest="rng_seed", type=int, default=0)
+    p_corpus.add_argument(
+        "--noise-ratio", type=float, help="name-free snippets per planted one"
+    )
+    p_corpus.add_argument("--domains", type=int, help="distinct result domains")
+    p_corpus.add_argument("--weight-low", type=int, help="least edge weight")
+    p_corpus.add_argument("--weight-high", type=int, help="greatest edge weight")
+    p_corpus.add_argument("--rng-seed", dest="seed", type=int, help="random seed")
     p_corpus.set_defaults(func=cmd_make_corpus)
     return parser
 

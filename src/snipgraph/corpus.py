@@ -176,7 +176,13 @@ def synthesize_from_edges(
             left, right = (a, b) if rng.random() < 0.5 else (b, a)
             mid = phrase if phrase == " " else f" {phrase} "
             emit(f"{_filler(rng)} {left}{mid}{right} {_filler(rng)}")
-    for _ in range(round(noise_ratio * len(records))):
+    noise = noise_ratio * len(records)
+    if noise == math.inf:
+        raise ValueError(
+            f"noise_ratio {noise_ratio:g} is too large: it asks for infinitely "
+            "many noise snippets"
+        )
+    for _ in range(round(noise)):
         emit(_filler(rng, 6, 12))
     rng.shuffle(records)
     return SyntheticCorpus(records, names, [(a, b, w) for a, b, w in edges])

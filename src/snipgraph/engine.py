@@ -92,6 +92,11 @@ class RunConfig:
             raise ValueError("at least one seed entity is required")
         if not self.query_patterns:
             raise ValueError("at least one query pattern is required")
+        if not any(is_queryable_phrase(p) for p in self.query_patterns):
+            raise ValueError(
+                "no query pattern can be queried: each is blank or holds a quote "
+                "or an operator character"
+            )
         if self.tau < 1:
             raise ValueError("tau must be >= 1")
         if self.sigma < 1:

@@ -18,8 +18,9 @@ from snipgraph.cli import (
     load_config_file,
     main,
 )
+from snipgraph.corpus import synthesize, write_names_file
 from snipgraph.extract import load_patterns
-from snipgraph.graph import read_edge_list, read_text_input
+from snipgraph.graph import read_edge_list, read_text_input, write_edge_list
 from snipgraph.search import (
     LiveBackend,
     SearchGateway,
@@ -118,6 +119,14 @@ class TestExtractCommand:
         args = base_args(workspace) + ["--patterns", str(workspace / "patterns.txt")]
         assert main(args) == 1
         assert "pattern file is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("phrase", ["\\s", ",", "&"])
+    def test_patterns_file_without_a_queryable_phrase(self, workspace, capsys, phrase):
+        write_lines(workspace / "patterns.txt", [phrase])
+        args = base_args(workspace) + ["--patterns", str(workspace / "patterns.txt")]
+        assert main(args) == 1
+        assert "no query pattern can be queried" in capsys.readouterr().err
+        assert not (workspace / "out").exists()
 
 
 class TestMinePatterns:
@@ -295,6 +304,7 @@ class TestMakeCorpus:
                 ["--pattern", "and=" + "9" * 308, "--pattern", "y=" + "9" * 308],
                 "pattern weights must be > 0",
             ),
+            (["--noise-ratio", "1e308"], "noise_ratio 1e+308 is too large"),
         ],
     )
     def test_non_finite_input_rejected(self, tmp_path, capsys, flags, message):
@@ -316,6 +326,18 @@ class TestMakeCorpus:
         assert err.count("error:") == 1 and f"exponent {exponent} is too large" in err
         assert "Traceback" not in err
         assert not (tmp_path / "c").exists()
+
+    def test_defaults_are_synthesize_defaults(self, tmp_path):
+        prefix = str(tmp_path / "d0")
+        assert main(["make-corpus", "--output-prefix", prefix]) == 0
+        corpus = synthesize()
+        save_corpus_file(corpus.records, str(tmp_path / "want.corpus.tsv"))
+        write_names_file(corpus.names, str(tmp_path / "want.names.txt"))
+        with open(tmp_path / "want.truth.edges", "w", encoding="utf-8") as fh:
+            write_edge_list(corpus.truth_graph(), fh)
+        for suffix in (".corpus.tsv", ".names.txt", ".truth.edges"):
+            want = (tmp_path / f"want{suffix}").read_bytes()
+            assert (tmp_path / f"d0{suffix}").read_bytes() == want
 
     def test_bad_pattern_weight(self, tmp_path, capsys):
         args = [
@@ -469,6 +491,36 @@ class TestConfigResolution:
             dests |= vars(parser.parse_args([command])).keys()
         dests -= {"command", "func", "config", "live"}
         assert dests == {key.removesuffix("_file") for key in CONFIG_KEYS}
+
+    @pytest.mark.parametrize(
+        ("key", "value", "message"),
+        [
+            ("mode", "dfs", "mode must be bf, prio, or pattern-iter"),
+            ("backend", "foo", "backend must be replay or live, not 'foo'"),
+        ],
+    )
+    def test_bad_flag_value_fails_as_in_config(self, workspace, capsys, key, value, message):
+        assert main(base_args(workspace) + [f"--{key}", value]) == 1
+        from_flag = capsys.readouterr().err
+        config = workspace / "run.cfg"
+        config.write_text(f"{key} = {value}\n", encoding="utf-8")
+        assert main(base_args(workspace) + ["--config", str(config)]) == 1
+        assert from_flag == capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["extract", "mine-patterns", "baseline"])
+    def test_help_explains_every_config_key(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        # one line of text: a flag, its metavar and then its help, which
+        # never starts with "-"; in the usage line a "]" ends the metavar
+        text = " ".join(capsys.readouterr().out.split())
+        dests = vars(build_parser().parse_args([command])).keys()
+        keys = [key for key in CONFIG_KEYS if key.removesuffix("_file") in dests]
+        assert keys
+        for key in keys:
+            flag = "--" + key.removesuffix("_file").replace("_", "-")
+            assert re.search(rf"{flag} [A-Z_]+ [^-\s]", text), flag
 
     def test_load_config_file_parses_and_trims(self, tmp_path):
         config = tmp_path / "run.cfg"

@@ -150,6 +150,13 @@ class TestSynthesizeFromEdges:
         with pytest.raises(ValueError, match="noise_ratio must be >= 0"):
             synthesize_from_edges([(names[0], names[1], 1)], names, noise_ratio=-1)
 
+    def test_noise_count_overflow_rejected(self):
+        # a finite ratio whose noise count, ratio times planted snippets, is not
+        names = make_names(2)
+        edges = [(names[0], names[1], 2)]
+        with pytest.raises(ValueError, match="noise_ratio 1e\\+308 is too large"):
+            synthesize_from_edges(edges, names, noise_ratio=1e308)
+
     def test_pattern_spec_validation(self):
         names = make_names(2)
         edges = [(names[0], names[1], 1)]

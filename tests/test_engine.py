@@ -93,6 +93,7 @@ class TestRunConfig:
             (dict(alpha=float("nan")), "alpha must be >= 0"),
             (dict(alpha=float("inf")), "alpha must be >= 0"),
             (dict(alpha=float("-inf")), "alpha must be >= 0"),
+            (dict(query_patterns=(" ", ",", "&")), "no query pattern can be queried"),
         ],
     )
     def test_validation(self, overrides, message):
